@@ -1,10 +1,13 @@
-// Extension — power-backend evaluation cost and multi-Vt leakage recovery.
+// Extension — power-backend evaluation cost, activity-simulation cost and
+// multi-Vt leakage recovery.
 //
-// Two questions the polymorphic power backends raise. First, cost: the
+// Three questions the polymorphic power backends raise. First, cost: the
 // state-dependent model walks every gate's Vt class, series stacks, and
 // state probabilities where the proxy just scales ΣW — how much slower is
 // one evaluation? (Both are called once per pipeline run, so this bounds
-// the per-point overhead of `--power-model state`.) Second, payoff: how
+// the per-point overhead of `--power-model state`.) Second, what does the
+// switching-activity simulation feeding both backends cost per gate and
+// vector on the 64-lane word kernel? Third, payoff: how
 // much leakage does the slack-driven MultiVtPass actually recover on a
 // real circuit, at a tight (1.0x initial delay) and a relaxed (1.25x)
 // constraint — with every point still meeting Tc?
@@ -12,6 +15,7 @@
 // Emits BENCH_power.json for cross-PR perf tracking; the CI smoke
 // (scripts/smoke_power.sh) checks the sweep-level contract separately.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -82,6 +86,57 @@ void eval_cost(util::Json& doc) {
   std::printf("%s\n", t.str().c_str());
 }
 
+void activity_cost(util::Json& doc) {
+  print_header(
+      "Extension — switching-activity simulation cost",
+      "the 64-lane word kernel behind every power report: 512 random "
+      "vectors (the pipeline's count), ms per simulation and ns per "
+      "gate x vector");
+
+  constexpr int kVectors = 512;
+  constexpr int kActivityReps = 21;
+  api::OptContext ctx;
+  util::Table t({"circuit", "gates", "ms", "ns / gate*vec"});
+  for (std::size_t c = 1; c < 4; ++c) t.set_align(c, util::Align::Right);
+
+  util::Json circuits = util::Json::array();
+  for (const char* const name :
+       {"c432", "c499", "c880", "c1355", "c1908", "c3540", "c5315", "c6288",
+        "c7552"}) {
+    const Netlist nl = netlist::make_benchmark(ctx.lib(), name);
+    std::vector<double> ms;
+    double sink = 0.0;
+    for (int rep = 0; rep < kActivityReps; ++rep) {
+      util::Rng rng(0xAC7);  // same vectors every rep
+      ms.push_back(time_ms([&] {
+        sink += netlist::estimate_activity(nl, rng, kVectors)
+                    .switched_cap_ff_per_vec;
+      }));
+    }
+    if (sink == 0.0) std::printf(" ");  // keep the simulations observable
+    std::sort(ms.begin(), ms.end());
+    const double median_ms = ms[ms.size() / 2];
+    const std::size_t gates = nl.gates().size();
+    const double ns_per_gate_vec =
+        median_ms * 1e6 / (static_cast<double>(gates) * kVectors);
+    t.add_row({name, std::to_string(gates), util::fmt(median_ms, 3),
+               util::fmt(ns_per_gate_vec, 3)});
+
+    util::Json entry = util::Json::object();
+    entry["circuit"] = name;
+    entry["gates"] = gates;
+    entry["vectors"] = kVectors;
+    entry["median_ms"] = median_ms;
+    entry["ns_per_gate_vector"] = ns_per_gate_vec;
+    circuits.push_back(std::move(entry));
+  }
+  util::Json section = util::Json::object();
+  section["reps"] = kActivityReps;
+  section["circuits"] = std::move(circuits);
+  doc["activity_cost"] = std::move(section);
+  std::printf("%s\n", t.str().c_str());
+}
+
 void multi_vt_recovery(util::Json& doc) {
   print_header(
       "Extension — leakage recovered by the multi-Vt pass",
@@ -142,6 +197,7 @@ int main(int argc, char** argv) {
   util::Json doc = util::Json::object();
   doc["bench"] = "power";
   eval_cost(doc);
+  activity_cost(doc);
   multi_vt_recovery(doc);
 
   return bench_common::write_bench_json(argc, argv, "power", doc);

@@ -40,6 +40,10 @@ scripts/smoke_trace.sh "${PREFIX}"
 echo "=== job 1g: intra-circuit timing smoke (slack engine, gating, level-parallel) ==="
 scripts/smoke_intra_circuit.sh "${PREFIX}"
 
+echo "=== job 1h: perfbench self-test (every BENCHMARK.json workload on c17, metric names, corruption caught) ==="
+# Builds its own Release tree under .bench_build/perfbench from this checkout.
+python3 perfbench/run.py --self-test
+
 echo "=== job 2: ASan/UBSan, Debug, full ctest ==="
 cmake -B "${PREFIX}-asan" -S . -DPOPS_WERROR=ON -DPOPS_SANITIZE=ON \
       -DCMAKE_BUILD_TYPE=Debug

@@ -14,6 +14,7 @@
 // width); the input capacitance is CIN = (1+k) * wn * Cgate.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -83,9 +84,11 @@ struct Cell {
     return static_cast<double>(fanin) * (1.0 + k_ratio) * wn;
   }
 
-  /// Boolean function of the cell. `inputs.size()` must equal `fanin`.
-  /// Throws std::invalid_argument on arity mismatch.
-  bool eval(std::span<const bool> inputs) const;
+  /// Boolean function of the cell over 64 independent input vectors at
+  /// once: bit `l` of `inputs[i]` is pin i's value in vector (lane) l, and
+  /// bit l of the result is the output in that lane. `inputs.size()` must
+  /// equal `fanin`; throws std::invalid_argument on arity mismatch.
+  std::uint64_t eval_word(std::span<const std::uint64_t> inputs) const;
 };
 
 }  // namespace pops::liberty

@@ -1,6 +1,7 @@
 #include "pops/service/sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -38,11 +39,13 @@ std::vector<std::string> SweepSpec::validate() const {
 
   require(!tc_ratios.empty(), "tc_ratios is empty");
   for (const double r : tc_ratios)
-    require(r > 0.0, "tc_ratio " + std::to_string(r) + " must be > 0");
+    require(std::isfinite(r) && r > 0.0,
+            "tc_ratio " + std::to_string(r) + " must be finite and > 0");
 
   require(!shield_margins.empty(), "shield_margins is empty");
   for (const double m : shield_margins)
-    require(m > 0.0, "shield_margin " + std::to_string(m) + " must be > 0");
+    require(std::isfinite(m) && m > 0.0,
+            "shield_margin " + std::to_string(m) + " must be finite and > 0");
 
   require(!temperatures.empty(), "temperatures is empty");
   for (const double t : temperatures)

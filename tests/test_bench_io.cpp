@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/bench_io.hpp"
 #include "pops/netlist/benchmarks.hpp"
@@ -90,22 +93,38 @@ x = XOR(i0, i1, i2)
                                        lib);
   const LogicSimulator sim(nl);
   Rng rng(7);
-  for (int t = 0; t < 200; ++t) {
-    std::vector<bool> in(8);
-    for (auto&& b : in) b = rng.bernoulli(0.5);
-    bool expect_w = true;
-    for (int i = 0; i < 8; ++i) expect_w = expect_w && in[static_cast<std::size_t>(i)];
-    bool expect_o = false;
-    for (int i = 0; i < 6; ++i) expect_o = expect_o || in[static_cast<std::size_t>(i)];
-    const bool expect_x = in[0] ^ in[1] ^ in[2];
+  // 200 random vectors, 64 per word: vector t rides in lane t % 64.
+  for (int first = 0; first < 200; first += 64) {
+    const int lanes = std::min(64, 200 - first);
+    std::vector<std::vector<bool>> vecs;
+    std::vector<std::uint64_t> in(8, 0);
+    for (int lane = 0; lane < lanes; ++lane) {
+      std::vector<bool> v(8);
+      for (std::size_t i = 0; i < 8; ++i) {
+        v[i] = rng.bernoulli(0.5);
+        if (v[i]) in[i] |= std::uint64_t{1} << lane;
+      }
+      vecs.push_back(std::move(v));
+    }
     // Outputs come back in netlist id order: w, o, x were declared in that
     // order but instantiated lazily; match by name instead.
-    const auto values = LogicSimulator(nl).eval_all(in);
-    EXPECT_EQ(values[static_cast<std::size_t>(nl.find("w"))], !expect_w);
-    EXPECT_EQ(values[static_cast<std::size_t>(nl.find("o"))], expect_o);
-    EXPECT_EQ(values[static_cast<std::size_t>(nl.find("x"))], expect_x);
+    std::vector<std::uint64_t> values;
+    sim.eval_words(in, values);
+    auto bit_of = [&](const char* name, int lane) {
+      return ((values[static_cast<std::size_t>(nl.find(name))] >> lane) & 1u) != 0;
+    };
+    for (int lane = 0; lane < lanes; ++lane) {
+      const std::vector<bool>& v = vecs[static_cast<std::size_t>(lane)];
+      bool expect_w = true;
+      for (std::size_t i = 0; i < 8; ++i) expect_w = expect_w && v[i];
+      bool expect_o = false;
+      for (std::size_t i = 0; i < 6; ++i) expect_o = expect_o || v[i];
+      const bool expect_x = v[0] ^ v[1] ^ v[2];
+      EXPECT_EQ(bit_of("w", lane), !expect_w) << first + lane;
+      EXPECT_EQ(bit_of("o", lane), expect_o) << first + lane;
+      EXPECT_EQ(bit_of("x", lane), expect_x) << first + lane;
+    }
   }
-  (void)sim;
 }
 
 TEST_F(BenchIoTest, ErrorsAreLineNumbered) {

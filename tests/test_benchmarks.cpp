@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/bench_io.hpp"
 #include "pops/netlist/benchmarks.hpp"
@@ -29,38 +32,54 @@ TEST_F(BenchmarksTest, Adder16AddsCorrectly) {
   const LogicSimulator sim(nl);
   Rng rng(101);
 
-  auto run = [&](unsigned a, unsigned b, bool cin) {
-    std::vector<bool> in(33);
-    for (int i = 0; i < 16; ++i) {
-      in[static_cast<std::size_t>(i)] = (a >> i) & 1u;         // a0..a15
-      in[static_cast<std::size_t>(16 + i)] = (b >> i) & 1u;    // b0..b15
-    }
-    in[32] = cin;
-    const auto values = sim.eval_all(in);
-    unsigned sum = 0;
-    for (int i = 0; i < 16; ++i)
-      if (values[static_cast<std::size_t>(nl.find("s" + std::to_string(i)))])
-        sum |= 1u << i;
-    const bool cout = values[static_cast<std::size_t>(nl.find("cout"))];
-    return std::make_pair(sum, cout);
+  struct Case {
+    unsigned a, b;
+    bool cin;
+    std::pair<unsigned, bool> want;  // (sum, cout)
   };
-
   // Directed corners.
-  EXPECT_EQ(run(0, 0, false), std::make_pair(0u, false));
-  EXPECT_EQ(run(0xFFFF, 0, true), std::make_pair(0u, true));
-  EXPECT_EQ(run(0xFFFF, 1, false), std::make_pair(0u, true));
-  EXPECT_EQ(run(0x8000, 0x8000, false), std::make_pair(0u, true));
-  EXPECT_EQ(run(1234, 4321, false), std::make_pair(5555u, false));
-
+  std::vector<Case> cases = {
+      {0, 0, false, {0u, false}},
+      {0xFFFF, 0, true, {0u, true}},
+      {0xFFFF, 1, false, {0u, true}},
+      {0x8000, 0x8000, false, {0u, true}},
+      {1234, 4321, false, {5555u, false}},
+  };
   // Random vectors.
   for (int t = 0; t < 200; ++t) {
     const unsigned a = static_cast<unsigned>(rng.uniform_int(0, 0xFFFF));
     const unsigned b = static_cast<unsigned>(rng.uniform_int(0, 0xFFFF));
     const bool cin = rng.bernoulli(0.5);
     const unsigned full = a + b + (cin ? 1u : 0u);
-    EXPECT_EQ(run(a, b, cin),
-              std::make_pair(full & 0xFFFFu, (full >> 16) != 0u))
-        << a << "+" << b << "+" << cin;
+    cases.push_back({a, b, cin, {full & 0xFFFFu, (full >> 16) != 0u}});
+  }
+
+  // Case c rides in lane c % 64 of batch c / 64.
+  for (std::size_t first = 0; first < cases.size(); first += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, cases.size() - first);
+    std::vector<std::uint64_t> in(33, 0);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Case& c = cases[first + lane];
+      const std::uint64_t bit = std::uint64_t{1} << lane;
+      for (int i = 0; i < 16; ++i) {
+        if ((c.a >> i) & 1u) in[static_cast<std::size_t>(i)] |= bit;       // a0..a15
+        if ((c.b >> i) & 1u) in[static_cast<std::size_t>(16 + i)] |= bit;  // b0..b15
+      }
+      if (c.cin) in[32] |= bit;
+    }
+    std::vector<std::uint64_t> values;
+    sim.eval_words(in, values);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Case& c = cases[first + lane];
+      auto bit_of = [&](const std::string& name) {
+        return ((values[static_cast<std::size_t>(nl.find(name))] >> lane) & 1u) != 0;
+      };
+      unsigned sum = 0;
+      for (int i = 0; i < 16; ++i)
+        if (bit_of("s" + std::to_string(i))) sum |= 1u << i;
+      EXPECT_EQ(std::make_pair(sum, bit_of("cout")), c.want)
+          << c.a << "+" << c.b << "+" << c.cin;
+    }
   }
 }
 

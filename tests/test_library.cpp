@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "pops/liberty/library.hpp"
@@ -128,16 +129,20 @@ TEST_P(CellEvalTest, MatchesTruthTable) {
   const Library lib(Technology::cmos025());
   const Cell& c = lib.cell(GetParam());
   const int n = c.fanin;
-  for (unsigned pattern = 0; pattern < (1u << n); ++pattern) {
+  // The whole truth table in one word: lane l carries input pattern l, so
+  // pin i's word has bit l set iff bit i of l is set. Lanes past 2^n repeat
+  // patterns (pins beyond the fanin do not exist), so every lane is checked.
+  std::uint64_t in_words[4] = {};
+  for (int i = 0; i < n; ++i)
+    for (unsigned lane = 0; lane < 64; ++lane)
+      if ((lane >> i) & 1u) in_words[i] |= std::uint64_t{1} << lane;
+  const std::uint64_t out =
+      c.eval_word({in_words, static_cast<std::size_t>(n)});
+  for (unsigned lane = 0; lane < 64; ++lane) {
     std::vector<bool> in(static_cast<std::size_t>(n));
-    bool raw[4];
-    for (int i = 0; i < n; ++i) {
-      in[static_cast<std::size_t>(i)] = (pattern >> i) & 1u;
-      raw[i] = in[static_cast<std::size_t>(i)];
-    }
-    EXPECT_EQ(c.eval({raw, static_cast<std::size_t>(n)}),
-              ref_eval(GetParam(), in))
-        << c.name << " pattern " << pattern;
+    for (int i = 0; i < n; ++i) in[static_cast<std::size_t>(i)] = (lane >> i) & 1u;
+    EXPECT_EQ(((out >> lane) & 1u) != 0, ref_eval(GetParam(), in))
+        << c.name << " lane " << lane;
   }
 }
 
@@ -150,8 +155,10 @@ INSTANTIATE_TEST_SUITE_P(AllCells, CellEvalTest,
 
 TEST_F(LibraryTest, EvalArityMismatchThrows) {
   const Cell& nand2 = lib.cell(CellKind::Nand2);
-  bool one[1] = {true};
-  EXPECT_THROW(nand2.eval({one, 1}), std::invalid_argument);
+  const std::uint64_t one[1] = {~std::uint64_t{0}};
+  EXPECT_THROW(nand2.eval_word({one, 1}), std::invalid_argument);
+  const std::uint64_t three[3] = {0, 0, 0};
+  EXPECT_THROW(nand2.eval_word({three, 3}), std::invalid_argument);
 }
 
 TEST_F(LibraryTest, InvertingFlagsConsistent) {

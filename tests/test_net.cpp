@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -277,6 +278,46 @@ TEST(SweepServer, ControlOpsAndErrorEvents) {
   EXPECT_THROW(client.submit(unknown), std::runtime_error);
   EXPECT_EQ(net::event_name(client.ping()), "pong");
   EXPECT_GE(server.stats().errors, 2u);
+  server.stop();
+}
+
+TEST(SweepServer, NonFiniteAxesRejectedLocallyAndOnTheWire) {
+  // tc_ratio / shield_margin = inf or nan must fail on every path: the
+  // local SweepService, the wire request codec, and a live daemon.
+  api::OptContext ctx;
+  const service::SweepService local(ctx, /*use_cache=*/false);
+  const auto load = [&ctx](const std::string& name) {
+    return netlist::make_benchmark(ctx.lib(), name);
+  };
+  SweepServer server;
+  server.start();
+  SweepClient client("127.0.0.1", server.port());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool margin_axis : {false, true}) {
+    for (const double bad : {inf, -inf, nan}) {
+      SweepSpec spec;
+      spec.circuits = {"c17"};
+      spec.tc_ratios = {0.9};
+      (margin_axis ? spec.shield_margins : spec.tc_ratios).push_back(bad);
+      const std::string what = std::string(margin_axis ? "margin " : "tc ") +
+                               std::to_string(bad);
+      EXPECT_FALSE(spec.validate().empty()) << what;
+      EXPECT_THROW(local.run(spec, load), std::invalid_argument) << what;
+      // The daemon's request path: decode, then validate the spec. On the
+      // wire the non-finite number travels as JSON text (null).
+      const Json request = net::make_sweep_request(
+          spec, {}, /*po_load_ff=*/0.0, /*record_runtimes=*/true,
+          /*trace_id=*/0);
+      for (const Json& req : {request, Json::parse(request.dump())})
+        EXPECT_THROW(net::parse_request(req).spec.ensure_valid(),
+                     std::invalid_argument)
+            << what;
+      EXPECT_THROW(client.submit(spec), std::runtime_error) << what;
+    }
+  }
+  EXPECT_EQ(net::event_name(client.ping()), "pong");
   server.stop();
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/netlist.hpp"
 #include "pops/process/technology.hpp"
@@ -230,31 +232,40 @@ TEST_P(WideGateTest, ComputesWideAndOr) {
   nl.mark_output(root, 1.0);
   nl.validate();
 
-  // Check against the reference function over all input patterns.
-  for (unsigned pattern = 0; pattern < (1u << width); ++pattern) {
-    // Direct recursive evaluation through node values.
-    std::vector<bool> value(nl.size());
-    for (int i = 0; i < width; ++i)
-      value[static_cast<std::size_t>(pis[static_cast<std::size_t>(i)])] =
-          (pattern >> i) & 1u;
+  // Check against the reference function over all input patterns, 64 per
+  // word: pattern p = 64 * word + lane sets PI i to bit i of p.
+  const unsigned n_patterns = 1u << width;
+  for (unsigned word = 0; word * 64 < n_patterns; ++word) {
+    // Direct evaluation through node values, one word per node.
+    std::vector<std::uint64_t> value(nl.size());
+    for (int i = 0; i < width; ++i) {
+      std::uint64_t w = 0;
+      for (unsigned lane = 0; lane < 64; ++lane)
+        if (((word * 64 + lane) >> i) & 1u) w |= std::uint64_t{1} << lane;
+      value[static_cast<std::size_t>(pis[static_cast<std::size_t>(i)])] = w;
+    }
     for (NodeId id : nl.topo_order()) {
       const Node& node = nl.node(id);
       if (node.is_input) continue;
-      bool raw[4];
+      std::uint64_t raw[4];
       for (std::size_t k = 0; k < node.fanins.size(); ++k)
         raw[k] = value[static_cast<std::size_t>(node.fanins[k])];
       value[static_cast<std::size_t>(id)] =
-          lib.cell(node.kind).eval({raw, node.fanins.size()});
+          lib.cell(node.kind).eval_word({raw, node.fanins.size()});
     }
-    bool expect = is_and;
-    for (int i = 0; i < width; ++i) {
-      const bool bit = (pattern >> i) & 1u;
-      expect = is_and ? (expect && bit) : (i == 0 ? bit : (expect || bit));
+    for (unsigned lane = 0; lane < 64 && word * 64 + lane < n_patterns; ++lane) {
+      const unsigned pattern = word * 64 + lane;
+      bool expect = is_and;
+      for (int i = 0; i < width; ++i) {
+        const bool bit = (pattern >> i) & 1u;
+        expect = is_and ? (expect && bit) : (i == 0 ? bit : (expect || bit));
+      }
+      if (invert) expect = !expect;
+      EXPECT_EQ(((value[static_cast<std::size_t>(root)] >> lane) & 1u) != 0,
+                expect)
+          << "width=" << width << " and=" << is_and << " inv=" << invert
+          << " pattern=" << pattern;
     }
-    if (invert) expect = !expect;
-    EXPECT_EQ(value[static_cast<std::size_t>(root)], expect)
-        << "width=" << width << " and=" << is_and << " inv=" << invert
-        << " pattern=" << pattern;
   }
 }
 
