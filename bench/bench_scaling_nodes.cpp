@@ -127,9 +127,10 @@ void batch_scaling(util::Json& doc) {
   batch["circuits"] = fleet1.size();
   batch["tc_ratio"] = kRatio;
   // Per-thread-count timings are always recorded; the ratio only when the
-  // host genuinely has 4 hardware threads (add_guarded_speedup nulls it
-  // with a note otherwise — an oversubscribed "speedup" is noise and has
-  // polluted cross-PR tracking before).
+  // effective-parallelism probe shows the host really runs 4 workers
+  // (add_guarded_speedup nulls it with a note otherwise — an
+  // oversubscribed "speedup" is noise and has polluted cross-PR tracking
+  // before).
   batch["ms_1_thread"] = ms1;
   batch["ms_4_threads"] = ms4;
   add_guarded_speedup(batch, ms1, ms4, 4);

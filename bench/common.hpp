@@ -4,7 +4,9 @@
 // POPS does it (STA -> most critical PI->PO path -> bounded path with
 // frozen off-path loads).
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -17,6 +19,7 @@
 #include "pops/obs/clock.hpp"
 #include "pops/timing/sta.hpp"
 #include "pops/util/json.hpp"
+#include "pops/util/parallel.hpp"
 #include "pops/util/table.hpp"
 
 namespace bench_common {
@@ -73,25 +76,70 @@ double time_ms(Fn&& fn) {
   return watch.elapsed_ms();
 }
 
-/// Record ms_base/ms_parallel as row["speedup"] — but only when the host
-/// can actually run `threads` workers concurrently. On an oversubscribed
-/// host (hardware_threads < threads) the parallel timing measures
-/// scheduler churn, not scaling, so the row gets "speedup": null plus a
-/// "note" naming the limit instead of a misleading number. Per-thread-
-/// count timings should always be emitted alongside; only the ratio is
-/// suppressed.
+/// Effective parallelism the host gives this process right now: the same
+/// fixed integer spin on `workers` pool threads at once against one alone,
+/// workers x t1 / tN. An oversubscribed host (nproc larger than the cores
+/// it really runs) shows fewer than `workers`.
+inline double effective_parallelism(std::size_t workers) {
+  constexpr std::uint64_t kIters = 20'000'000;
+  std::atomic<std::uint64_t> sink{0};
+  const auto timed = [&](std::size_t n) {
+    const pops::obs::StopWatch watch;
+    pops::util::ThreadPool::global().for_chunks(
+        n, n, [&](std::size_t, std::size_t) {
+          std::uint64_t x = 0x9E3779B97F4A7C15ull;
+          for (std::uint64_t i = 0; i < kIters; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+          }
+          sink += x;
+        });
+    return watch.elapsed_ms();
+  };
+  const double t1 = timed(1);
+  const double tn = timed(workers);
+  return tn > 0.0 ? static_cast<double>(workers) * t1 / tn : 0.0;
+}
+
+/// Measured parallelism within this fraction of the worker count still
+/// counts as "the host ran them all": probe timings are noisy.
+inline constexpr double kProbeSlack = 0.9;
+
+/// The decision behind add_guarded_speedup: empty when a `threads`-worker
+/// speedup is real data on a host whose probe measured `effective_cores`,
+/// otherwise the reason to record null instead.
+inline std::string speedup_withheld_reason(double effective_cores,
+                                           std::size_t threads,
+                                           double ms_parallel) {
+  if (!(ms_parallel > 0.0)) return "no parallel timing";
+  if (effective_cores >= kProbeSlack * static_cast<double>(threads))
+    return "";
+  return "effective-parallelism probe measured " +
+         pops::util::fmt(effective_cores, 2) + " core(s) for " +
+         std::to_string(threads) + " workers; the speedup would measure " +
+         "oversubscription, not scaling";
+}
+
+/// Record ms_base/ms_parallel as row["speedup"] — but only when an
+/// effective-parallelism probe shows the host actually runs `threads`
+/// workers at once. hardware_concurrency() is not that evidence: a
+/// container can report 4 hardware threads and run about one. Otherwise
+/// the row gets "speedup": null plus a "note" with the reason.
+/// Per-thread-count timings should always be emitted alongside; only the
+/// ratio is suppressed.
 inline void add_guarded_speedup(pops::util::Json& row, double ms_base,
                                 double ms_parallel, std::size_t threads) {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  row["hardware_threads"] = hw;
-  if (hw >= threads && ms_parallel > 0.0) {
+  const double effective = effective_parallelism(threads);
+  row["hardware_threads"] = std::thread::hardware_concurrency();
+  row["effective_parallelism"] = effective;
+  const std::string reason =
+      speedup_withheld_reason(effective, threads, ms_parallel);
+  if (reason.empty()) {
     row["speedup"] = ms_base / ms_parallel;
   } else {
     row["speedup"] = pops::util::Json();  // null
-    row["note"] = "host has " + std::to_string(hw) +
-                  " hardware thread(s); a " + std::to_string(threads) +
-                  "-worker speedup would measure oversubscription, not "
-                  "scaling";
+    row["note"] = reason;
   }
 }
 

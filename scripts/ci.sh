@@ -55,6 +55,8 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}"
 # SIGPIPE ctest once the test listing outgrows the pipe buffer.
 ctest --test-dir "${PREFIX}-asan" -N | grep "IncrementalSta\." > /dev/null \
   || { echo "ASan job does not cover the IncrementalSta fuzz tests"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "IncrementalStructuralFuzz\." > /dev/null \
+  || { echo "ASan job does not cover the structural-edit fuzz tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "ShieldMatchesHistoricalFullSweepBitwise" > /dev/null \
   || { echo "ASan job does not cover the shield parity regression"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "EngineSharing\." > /dev/null \

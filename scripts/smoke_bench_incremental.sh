@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # bench_incremental_sta smoke: the bench must run, emit valid JSON with
 # the expected shape, and show the incremental analyzer no slower than a
-# cold re-run for the smallest dirty set on every circuit (the bench
-# itself asserts bit-identity via IncrementalSta::check_against_full on
-# every configuration). Shared by scripts/ci.sh and the GitHub workflow.
+# cold re-run for the smallest dirty set on every circuit, and a
+# structural (buffer-insertion) update no slower than a cold run with
+# slacks (the bench itself asserts bit-identity via
+# IncrementalSta::check_against_full on every configuration). Shared by
+# scripts/ci.sh and the GitHub workflow.
 # Usage: scripts/smoke_bench_incremental.sh <build-dir>
 set -euo pipefail
 
@@ -33,7 +35,20 @@ for name, c in circuits.items():
     assert one["incremental_ms"] <= one["cold_round_ms"], (
         f"{name}: incremental dirty=1 slower than cold "
         f"({one['incremental_ms']:.3f} vs {one['cold_round_ms']:.3f} ms)")
+structural = {r["circuit"]: r for r in doc["structural"]}
+assert set(structural) == {"c432", "c880", "c1355"}, set(structural)
+for name, r in structural.items():
+    assert r["buffers"] > 0, (name, r)
+    assert r["update_ms"] > 0 and r["cold_slack_ms"] > 0, (name, r)
+    for counter in ("topo_rebuilds", "position_renumbers"):
+        assert isinstance(r[counter], (int, float)) and r[counter] >= 0, (name, r)
+    assert r["update_ms"] <= r["cold_slack_ms"], (
+        f"{name}: structural update slower than cold "
+        f"({r['update_ms']:.4f} vs {r['cold_slack_ms']:.4f} ms)")
 print("bench_incremental_sta smoke OK:",
       ", ".join(f"{n} {circuits[n]['rows'][0]['speedup']:.1f}x@dirty=1"
+                for n in ("c432", "c880", "c1355")),
+      "| structural:",
+      ", ".join(f"{n} {structural[n]['cold_slack_ms'] / structural[n]['update_ms']:.1f}x"
                 for n in ("c432", "c880", "c1355")))
 PY

@@ -50,10 +50,10 @@ void CancelInvertersPass::run(Netlist& nl, OptContext& /*ctx*/,
   std::vector<netlist::NodeId> dirty;
   report.sinks_rewired = core::cancel_inverter_pairs(nl, &dirty);
   report.changed = report.sinks_rewired > 0;
-  // Rewires change connectivity -> structure_changed. No rewires = no
-  // update, and the engine revision not moving is then correct (the
-  // pipeline only expects a moved revision when `changed` is set).
-  if (!dirty.empty()) sta.update(dirty, /*structure_changed=*/true);
+  // No rewires = no update, and the engine revision not moving is then
+  // correct (the pipeline only expects a moved revision when `changed` is
+  // set).
+  if (!dirty.empty()) sta.update(dirty);
 }
 
 void SweepDeadPass::run(Netlist& nl, OptContext& /*ctx*/,

@@ -17,8 +17,8 @@ using netlist::NodeId;
 std::size_t cancel_inverter_pairs(Netlist& nl,
                                   std::vector<NodeId>* dirty) {
   std::size_t rewired = 0;
-  // Iterate over a snapshot: rewiring invalidates fanout caches but ids
-  // are stable.
+  // Iterate over a snapshot of the gate ids (stable under rewires); each
+  // sink list is copied too, since rewiring edits it in place.
   for (NodeId g : nl.gates()) {
     const netlist::Node& gn = nl.node(g);
     if (gn.kind != CellKind::Inv) continue;
@@ -167,7 +167,7 @@ ShieldReport shield_high_fanout_nets(Netlist& nl,
     std::vector<NodeId> dirty = moved;
     dirty.push_back(g);
     dirty.push_back(buf);
-    sta.update(dirty, /*structure_changed=*/true);
+    sta.update(dirty);
   }
 
   report.delay_after_ps = sta.result().critical_delay_ps;

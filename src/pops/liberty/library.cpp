@@ -1,5 +1,6 @@
 #include "pops/liberty/library.hpp"
 
+#include <cstddef>
 #include <stdexcept>
 
 namespace pops::liberty {
@@ -56,13 +57,18 @@ std::vector<Cell> default_cells() {
 Library::Library(process::Technology tech)
     : tech_(std::move(tech)), cells_(default_cells()) {
   tech_.validate();
+  // cell(CellKind) indexes cells_ by kind: the table must list every kind
+  // once, in declaration order.
+  for (std::size_t i = 0; i < cells_.size(); ++i)
+    if (static_cast<std::size_t>(cells_[i].kind) != i)
+      throw std::logic_error("Library: cell table out of kind order");
   cref_ff_ = cell(CellKind::Inv).cin_ff(tech_, tech_.wmin_um);
 }
 
 const Cell& Library::cell(CellKind kind) const {
-  for (const Cell& c : cells_)
-    if (c.kind == kind) return c;
-  throw std::logic_error("Library: kind not populated");
+  const auto i = static_cast<std::size_t>(kind);
+  if (i >= cells_.size()) throw std::logic_error("Library: kind not populated");
+  return cells_[i];
 }
 
 const Cell& Library::cell(const std::string& name) const {

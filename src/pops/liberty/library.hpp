@@ -22,7 +22,9 @@ class Library {
 
   const process::Technology& tech() const noexcept { return tech_; }
 
-  /// Cell lookup by kind; always succeeds for kinds in all_cell_kinds().
+  /// Cell lookup by kind: O(1), indexed by the kind's declaration order.
+  /// Always succeeds for kinds in all_cell_kinds(); throws
+  /// std::logic_error for an out-of-range kind value.
   const Cell& cell(CellKind kind) const;
 
   /// Cell lookup by canonical name; throws std::invalid_argument if unknown.

@@ -4,6 +4,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "pops/obs/metrics.hpp"
+
 namespace pops::netlist {
 
 Netlist::Netlist(const liberty::Library& lib, std::string name)
@@ -21,7 +23,15 @@ Netlist Netlist::from_nodes(const liberty::Library& lib, std::string name,
     if (n.is_input) nl.inputs_.push_back(id);
   }
   nl.fresh_counter_ = fresh_counter;
-  nl.invalidate_caches();
+  // The one from-scratch fanout build; every edit after this maintains
+  // the lists in place. Out-of-range fanins are skipped here and
+  // reported by validate().
+  const NodeId n = static_cast<NodeId>(nl.nodes_.size());
+  nl.fanouts_.assign(nl.nodes_.size(), {});
+  for (NodeId id = 0; id < n; ++id)
+    for (NodeId f : nl.nodes_[static_cast<std::size_t>(id)].fanins)
+      if (f >= 0 && f < n)
+        nl.fanouts_[static_cast<std::size_t>(f)].push_back(id);
   nl.validate();  // arity, fanin range, drive range, acyclicity, dangling
   return nl;
 }
@@ -31,8 +41,12 @@ NodeId Netlist::add_node(Node node) {
     throw std::invalid_argument("Netlist: duplicate node name " + node.name);
   const NodeId id = static_cast<NodeId>(nodes_.size());
   by_name_.emplace(node.name, id);
+  // The new id is the largest, so appending keeps every list ascending.
+  fanouts_.emplace_back();
+  for (NodeId f : node.fanins)
+    fanouts_[static_cast<std::size_t>(f)].push_back(id);
   nodes_.push_back(std::move(node));
-  invalidate_caches();
+  topo_valid_ = false;
   return id;
 }
 
@@ -94,12 +108,11 @@ std::vector<NodeId> Netlist::gates() const {
 }
 
 const std::vector<NodeId>& Netlist::fanouts(NodeId id) const {
-  if (!caches_valid_) rebuild_caches();
   return fanouts_.at(static_cast<std::size_t>(id));
 }
 
 const std::vector<NodeId>& Netlist::topo_order() const {
-  if (!caches_valid_) rebuild_caches();
+  if (!topo_valid_) rebuild_topo();
   return topo_;
 }
 
@@ -198,7 +211,6 @@ NodeId Netlist::insert_buffer(NodeId driver, liberty::CellKind kind,
     d.po_load_ff = 0.0;
     d.wire_cap_ff = 0.0;
   }
-  invalidate_caches();
   return buf;
 }
 
@@ -218,8 +230,14 @@ void Netlist::rewire_fanin(NodeId gate, NodeId old_driver, NodeId new_driver) {
   if (it == g.fanins.end())
     throw std::invalid_argument("rewire_fanin: " + node(old_driver).name +
                                 " does not feed " + g.name);
+  // Move one occurrence of `gate` between the drivers' fanout lists; the
+  // sorted insert keeps each list exactly what a rebuild would produce.
+  std::vector<NodeId>& to = fanouts_.at(static_cast<std::size_t>(new_driver));
+  std::vector<NodeId>& from = fanouts_[static_cast<std::size_t>(old_driver)];
+  from.erase(std::find(from.begin(), from.end(), gate));
+  to.insert(std::upper_bound(to.begin(), to.end(), gate), gate);
   *it = new_driver;
-  invalidate_caches();
+  topo_valid_ = false;
 }
 
 void Netlist::rename(NodeId id, const std::string& new_name) {
@@ -285,7 +303,7 @@ void Netlist::validate() const {
                              std::to_string(n.vt) +
                              " not offered by the technology");
   }
-  // Acyclicity: topo must cover all nodes (rebuild_caches throws on cycle).
+  // Acyclicity: topo must cover all nodes (rebuild_topo throws on cycle).
   if (topo_order().size() != nodes_.size())
     throw std::logic_error("validate: cycle detected");
   // Dangling internal nodes.
@@ -304,19 +322,14 @@ std::string Netlist::fresh_name(const std::string& prefix) {
   return candidate;
 }
 
-void Netlist::invalidate_caches() const { caches_valid_ = false; }
-
-void Netlist::rebuild_caches() const {
+void Netlist::rebuild_topo() const {
+  static const obs::Registry::Counter rebuilds =
+      obs::Registry::global().counter("netlist.topo_rebuilds");
+  rebuilds.add();
   const std::size_t n = nodes_.size();
-  fanouts_.assign(n, {});
   std::vector<int> indeg(n, 0);
-  for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-    const Node& nd = nodes_[static_cast<std::size_t>(id)];
-    for (NodeId f : nd.fanins) {
-      fanouts_[static_cast<std::size_t>(f)].push_back(id);
-      ++indeg[static_cast<std::size_t>(id)];
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    indeg[i] = static_cast<int>(nodes_[i].fanins.size());
   topo_.clear();
   topo_.reserve(n);
   std::queue<NodeId> ready;
@@ -331,7 +344,7 @@ void Netlist::rebuild_caches() const {
   }
   if (topo_.size() != n)
     throw std::logic_error("Netlist: combinational cycle detected");
-  caches_valid_ = true;
+  topo_valid_ = true;
 }
 
 NodeId build_wide_gate(Netlist& nl, bool is_and, bool invert,

@@ -10,7 +10,13 @@
 //
 // Editing operations used by the optimizer (buffer insertion, gate
 // replacement for De Morgan restructuring) preserve names of untouched
-// nodes and invalidate the cached topological order / fanout lists.
+// nodes. Fanout lists are exact at all times: every edit updates them in
+// place, and each list always equals what a from-scratch build gives —
+// sink ids ascending, one entry per consuming pin — so load sums taken in
+// list order are bit-stable across edits. Only the topological order is
+// lazy: a connectivity edit invalidates it and the next topo_order()
+// query rebuilds it (Kahn's algorithm over the fanout lists; counted by
+// the `netlist.topo_rebuilds` metric).
 
 #include <cstddef>
 #include <string>
@@ -100,10 +106,12 @@ class Netlist {
   std::vector<NodeId> outputs() const;
   std::vector<NodeId> gates() const;
 
-  /// Gates (or POs) fed by node `id` (cached; rebuilt after edits).
+  /// Gates fed by node `id`: ascending ids, a sink listed once per pin it
+  /// takes from `id`. Maintained exactly across edits (never rebuilt).
   const std::vector<NodeId>& fanouts(NodeId id) const;
 
-  /// Topological order over all nodes (inputs first). Cached.
+  /// Topological order over all nodes (inputs first). Cached; rebuilt on
+  /// the first query after a connectivity edit.
   const std::vector<NodeId>& topo_order() const;
 
   /// Library cell of a gate node.
@@ -167,7 +175,8 @@ class Netlist {
   void replace_cell(NodeId id, liberty::CellKind kind);
 
   /// Re-point one fanin of `gate` from `old_driver` to `new_driver`.
-  /// Throws if `old_driver` is not a fanin of `gate`.
+  /// Throws if `old_driver` is not a fanin of `gate` or `new_driver` is
+  /// not a node.
   void rewire_fanin(NodeId gate, NodeId old_driver, NodeId new_driver);
 
   /// Rename a node. Throws if the new name is already taken.
@@ -190,7 +199,6 @@ class Netlist {
   std::string fresh_name(const std::string& prefix);
 
  private:
-  void invalidate_caches() const;
   NodeId add_node(Node node);
 
   const liberty::Library* lib_;
@@ -200,11 +208,12 @@ class Netlist {
   std::unordered_map<std::string, NodeId> by_name_;
   int fresh_counter_ = 0;
 
-  // Caches (derived, rebuilt lazily).
-  mutable std::vector<std::vector<NodeId>> fanouts_;
+  // Derived connectivity: fanouts_ is maintained by every edit; topo_ is
+  // rebuilt lazily.
+  std::vector<std::vector<NodeId>> fanouts_;
   mutable std::vector<NodeId> topo_;
-  mutable bool caches_valid_ = false;
-  void rebuild_caches() const;
+  mutable bool topo_valid_ = false;
+  void rebuild_topo() const;
 };
 
 /// Build a balanced tree computing the wide AND/OR of `terms` using only

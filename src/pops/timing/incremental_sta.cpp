@@ -1,5 +1,6 @@
 #include "pops/timing/incremental_sta.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -20,6 +21,10 @@ using netlist::NodeId;
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Spacing of freshly numbered positions: room for 20 successive midpoint
+/// placements between two neighbours before a renumber is needed.
+constexpr std::uint64_t kPosGap = std::uint64_t{1} << 20;
 
 /// Bitwise double comparison: the identity guarantee is "same bits as a
 /// cold run", so the change test must distinguish what == would conflate
@@ -118,11 +123,55 @@ const std::vector<double>& IncrementalSta::downstream() const {
   return down_;
 }
 
-void IncrementalSta::rebuild_positions() {
+void IncrementalSta::number_positions() {
   const auto& topo = nl_->topo_order();
-  topo_pos_.assign(nl_->size(), 0);
+  const std::size_t n = nl_->size();
+  topo_pos_.assign(n, 0);
   for (std::size_t i = 0; i < topo.size(); ++i)
-    topo_pos_[static_cast<std::size_t>(topo[i])] = i;
+    topo_pos_[static_cast<std::size_t>(topo[i])] = (i + 1) * kPosGap;
+  in_heap_.resize(n, 0);
+  seed_mark_.resize(n, 0);
+  positions_valid_ = true;
+}
+
+bool IncrementalSta::place_positions(std::size_t old_n,
+                                     std::span<const NodeId> dirty) {
+  const Netlist& nl = *nl_;
+  const std::size_t n = nl.size();
+  topo_pos_.resize(n, 0);
+  in_heap_.resize(n, 0);
+  seed_mark_.resize(n, 0);
+  // In id order, a neighbour with a smaller id already has its position
+  // (old nodes, and appended nodes placed earlier in this loop); the
+  // others are left to the edge check below.
+  for (std::size_t i = old_n; i < n; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    std::uint64_t lo = 0;
+    for (NodeId f : nl.node(id).fanins)
+      if (static_cast<std::size_t>(f) < i)
+        lo = std::max(lo, topo_pos_[static_cast<std::size_t>(f)]);
+    std::uint64_t hi = lo + 2 * kPosGap;  // no placed fanout: open above
+    bool bounded = false;
+    for (NodeId g : nl.fanouts(id)) {
+      if (static_cast<std::size_t>(g) >= i) continue;
+      const std::uint64_t p = topo_pos_[static_cast<std::size_t>(g)];
+      hi = bounded ? std::min(hi, p) : p;
+      bounded = true;
+    }
+    if (hi <= lo || hi - lo < 2) return false;  // no gap left
+    topo_pos_[i] = lo + (hi - lo) / 2;
+  }
+  auto in_order = [&](NodeId id) {
+    const std::uint64_t p = topo_pos_[static_cast<std::size_t>(id)];
+    for (NodeId f : nl.node(id).fanins)
+      if (topo_pos_[static_cast<std::size_t>(f)] >= p) return false;
+    return true;
+  };
+  // Appended nodes and rewired sinks are all dirty (the contract), so
+  // every new edge ends at a dirty node.
+  for (NodeId d : dirty)
+    if (!in_order(d)) return false;
+  return true;
 }
 
 void IncrementalSta::grow_arrays(std::size_t n) {
@@ -133,6 +182,7 @@ void IncrementalSta::grow_arrays(std::size_t n) {
   res_.arrival_ps.resize(n, {kNegInf, kNegInf});
   res_.slew_ps.resize(n, {pi_slew_ps_, pi_slew_ps_});
   res_.prev.resize(n, {PathPoint{}, PathPoint{}});
+  res_.arc_ps.resize(n, {});
   for (std::size_t i = old; i < n; ++i)
     if (nl_->node(static_cast<NodeId>(i)).is_input)
       res_.arrival_ps[i] = {0.0, 0.0};
@@ -145,8 +195,7 @@ void IncrementalSta::grow_arrays(std::size_t n) {
     req_.resize(n, {kInf, kInf});
     slack_.resize(n, kInf);
   }
-  // in_heap_/seed_mark_ are re-assigned by update() whenever the netlist
-  // grew (the positions_valid_ branch), so they are not resized here.
+  // Positions and the scratch flags are sized by update()'s placement.
 }
 
 const StaResult& IncrementalSta::run_full() {
@@ -167,8 +216,7 @@ const StaResult& IncrementalSta::run_full() {
   return res_;
 }
 
-const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
-                                        bool structure_changed) {
+const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
   if (!valid_) return run_full();
 
   // Cold-vs-incremental visibility: every update is counted and its
@@ -176,6 +224,8 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // much of the hot loop the incremental engine actually absorbs.
   static const obs::Registry::Counter updates =
       obs::Registry::global().counter("sta.updates");
+  static const obs::Registry::Counter renumbers =
+      obs::Registry::global().counter("sta.position_renumbers");
   static const obs::Registry::Histogram cone = obs::Registry::global()
       .histogram("sta.dirty_cone",
                  {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
@@ -191,13 +241,13 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   ++revision_;
 
   const std::size_t n = nl_->size();
-  const bool grew = res_.arrival_ps.size() != n;
-  if (grew) grow_arrays(n);
-  if (grew || structure_changed || !positions_valid_) {
-    rebuild_positions();
-    in_heap_.assign(n, 0);
-    seed_mark_.assign(n, 0);
-    positions_valid_ = true;
+  const std::size_t old_n = res_.arrival_ps.size();
+  if (old_n != n) grow_arrays(n);
+  if (!positions_valid_) {
+    number_positions();  // first update after a cold run
+  } else if (!place_positions(old_n, dirty)) {
+    renumbers.add();
+    number_positions();
   }
 
   // ----- seed set F = dirty ∪ fanins(dirty) ---------------------------------
@@ -222,7 +272,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty,
   // Worklist ordered by topological position, so every recomputed node
   // reads fanin values that are final for this update — recomputation
   // then replays Sta::compute_node on bit-identical inputs.
-  using Pos = std::pair<std::size_t, NodeId>;
+  using Pos = std::pair<std::uint64_t, NodeId>;
   std::priority_queue<Pos, std::vector<Pos>, std::greater<Pos>> fwd;
   auto push_fwd = [&](NodeId id) {
     const auto i = static_cast<std::size_t>(id);
@@ -376,7 +426,8 @@ void IncrementalSta::check_against_full() const {
   };
 
   const std::size_t n = nl_->size();
-  if (res_.arrival_ps.size() != n || cold.arrival_ps.size() != n)
+  if (res_.arrival_ps.size() != n || cold.arrival_ps.size() != n ||
+      res_.arc_ps.size() != n || (positions_valid_ && topo_pos_.size() != n))
     fail("result size", netlist::kNoNode);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t e = 0; e < 2; ++e) {
@@ -392,6 +443,13 @@ void IncrementalSta::check_against_full() const {
     }
     if (slack_valid_ && !same_bits(slack_[i], cold_slack[i]))
       fail("slack", static_cast<NodeId>(i));
+    for (std::size_t k = 0; k < StaResult::kArcSlots; ++k)
+      if (!same_bits(res_.arc_ps[i][k], cold.arc_ps[i][k]))
+        fail("arc delay", static_cast<NodeId>(i));
+    if (positions_valid_)
+      for (NodeId f : nl_->node(static_cast<NodeId>(i)).fanins)
+        if (topo_pos_[static_cast<std::size_t>(f)] >= topo_pos_[i])
+          fail("topological position", static_cast<NodeId>(i));
   }
   if (!same_bits(res_.critical_delay_ps, cold.critical_delay_ps) ||
       !(res_.critical_endpoint == cold.critical_endpoint))

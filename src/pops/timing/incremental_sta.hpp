@@ -15,10 +15,11 @@
 //     the same neighbourhood.
 //
 // IncrementalSta keeps the last StaResult (arrivals, slews, `prev`
-// backtracking state) plus the downstream bound vector alive between
-// rounds, accepts the set of nodes whose sizes/loads/structure changed,
-// and repropagates only the affected cones — with results **bit-identical**
-// to a cold Sta::run() / Sta::downstream_delays(). Identity holds because
+// backtracking state, cached arc delays) plus the downstream bound vector
+// alive between rounds, accepts the set of nodes whose
+// sizes/loads/structure changed, and repropagates only the affected
+// cones — with results **bit-identical** to a cold Sta::run() /
+// Sta::downstream_delays(). Identity holds because
 // update() replays the exact per-node kernels of Sta (compute_node /
 // compute_down: same operations, same operand order) on neighbourhoods
 // whose inputs changed, and skips nodes whose inputs are provably
@@ -27,7 +28,7 @@
 // backends.
 //
 // Dirty-set contract (see update()): the caller lists every node whose
-//   * drive (size) changed,
+//   * drive (size) or Vt class changed,
 //   * fanin list changed (rewired sinks),
 //   * fanout set changed (a driver whose sinks were captured by a buffer),
 //   * wire cap / PO-load / PO-flag changed, or
@@ -35,6 +36,17 @@
 // IncrementalSta expands the set with the fanin drivers itself; edits
 // that renumber or remove nodes (sweep_dead rebuilds) need a fresh
 // run_full().
+//
+// The worklists are ordered by a topological position per node. Positions
+// are numbered from Netlist::topo_order() 2^20 apart; an appended node is
+// placed midway between its latest fanin and its earliest fanout, so a
+// buffer insertion needs no topological re-sort. Every new or rewired
+// edge ends at a dirty node (the contract lists both appended nodes and
+// rewired sinks), so update() checks each fanin edge of each dirty node —
+// O(dirty) — and renumbers from topo_order() only when an edge is out of
+// order or no gap is left (counted by the `sta.position_renumbers`
+// metric). The check is exhaustive under the contract, so callers no
+// longer say whether an edit was structural.
 
 #include <array>
 #include <cstddef>
@@ -58,14 +70,11 @@ class IncrementalSta {
   /// subsequent update() calls.
   const StaResult& run_full();
 
-  /// Re-propagate after netlist edits. `dirty` lists the changed nodes
-  /// (see the dirty-set contract above; duplicates and PIs are fine).
-  /// `structure_changed` must be true when connectivity changed (inserted
-  /// buffers, rewired fanins) so the cached topological positions are
-  /// refreshed; pure resizes may leave it false. Runs run_full() when no
-  /// result exists yet.
-  const StaResult& update(std::span<const netlist::NodeId> dirty,
-                          bool structure_changed = false);
+  /// Re-propagate after netlist edits — resizes, Vt flips, inserted
+  /// buffers and rewires alike. `dirty` lists the changed nodes (see the
+  /// dirty-set contract above; duplicates and PIs are fine). Runs
+  /// run_full() when no result exists yet.
+  const StaResult& update(std::span<const netlist::NodeId> dirty);
 
   /// Drop all maintained state: the next update()/result-producing query
   /// falls back to a cold run_full(). For edits outside the dirty-set
@@ -123,14 +132,23 @@ class IncrementalSta {
 
   // ----- verification ---------------------------------------------------------
 
-  /// Compare the maintained state against a cold Sta::run() +
-  /// downstream_delays(); throws std::logic_error on any bitwise
-  /// difference. update() calls this automatically in debug builds
-  /// (NDEBUG off); fuzz tests call it explicitly in release builds.
+  /// Compare the maintained state — arrivals, slews, `prev`, every cached
+  /// arc delay, and the bound / required / slack vectors once queried —
+  /// against a cold Sta::run() + backward sweeps, and check that the
+  /// positions are topological; throws std::logic_error on any bitwise
+  /// difference or out-of-order edge. update() calls this automatically
+  /// in debug builds (NDEBUG off); fuzz tests call it explicitly in
+  /// release builds.
   void check_against_full() const;
 
  private:
-  void rebuild_positions();
+  /// Number every node from topo_order(), kPosGap apart.
+  void number_positions();
+  /// Place nodes appended since the last update (ids >= old_n) between
+  /// their neighbours, then check every fanin edge of the dirty nodes.
+  /// False when an edge is out of order or no gap is left.
+  bool place_positions(std::size_t old_n,
+                       std::span<const netlist::NodeId> dirty);
   void grow_arrays(std::size_t n);
   void materialize_slacks(double tc_ps) const;
 
@@ -142,7 +160,7 @@ class IncrementalSta {
   StaResult res_;
   // Lazily materialized on the first downstream() query (mutable: the
   // query is logically const). Single-threaded by design, like Netlist's
-  // lazy caches.
+  // lazy topological order.
   mutable std::vector<double> down_;
   mutable bool down_valid_ = false;
 
@@ -160,8 +178,9 @@ class IncrementalSta {
   mutable std::size_t paths_k_ = 0;
   mutable bool paths_valid_ = false;
 
-  std::vector<std::size_t> topo_pos_;  ///< node -> position in topo order
-  bool positions_valid_ = false;       ///< rebuilt by the first update()
+  /// node -> gapped topological position (see the class comment).
+  std::vector<std::uint64_t> topo_pos_;
+  bool positions_valid_ = false;  ///< numbered by the first update()
 
   // Scratch, reused across updates (all-false between calls); sized
   // together with topo_pos_.

@@ -22,11 +22,33 @@ Sta::Sta(const Netlist& nl, const DelayModel& dm, StaOptions opt)
   if (opt_.pi_slew_ps <= 0.0) opt_.pi_slew_ps = dm_->default_input_slew_ps();
 }
 
-std::vector<Edge> Sta::cause_edges(const liberty::Cell& cell, Edge out) {
-  using liberty::CellKind;
-  if (cell.kind == CellKind::Xor2 || cell.kind == CellKind::Xnor2)
-    return {Edge::Rise, Edge::Fall};
-  return {cell.inverting ? flip(out) : out};
+namespace {
+
+bool is_xor(const liberty::Cell& cell) noexcept {
+  return cell.kind == liberty::CellKind::Xor2 ||
+         cell.kind == liberty::CellKind::Xnor2;
+}
+
+/// Pin of `gate` driven by `driver`. A gate fed twice by one driver has
+/// bit-identical arcs on both pins (same operands), so the first serves.
+std::size_t pin_of(const netlist::Node& gate, NodeId driver) {
+  return static_cast<std::size_t>(
+      std::find(gate.fanins.begin(), gate.fanins.end(), driver) -
+      gate.fanins.begin());
+}
+
+}  // namespace
+
+CauseEdges Sta::cause_edges(const liberty::Cell& cell, Edge out) noexcept {
+  if (is_xor(cell)) return {{Edge::Rise, Edge::Fall}, 2};
+  return {{cell.inverting ? flip(out) : out, Edge::Rise}, 1};
+}
+
+std::size_t Sta::arc_slot(const liberty::Cell& cell, std::size_t pin, Edge out,
+                          Edge ein) noexcept {
+  if (is_xor(cell))
+    return 4 * pin + 2 * StaResult::idx(out) + StaResult::idx(ein);
+  return 2 * pin + StaResult::idx(out);  // ein is implied by out
 }
 
 void Sta::compute_node(NodeId id, StaResult& r) const {
@@ -35,6 +57,7 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
   const liberty::Cell& cell = nl.cell_of(id);
   const double cin = nl.cin_ff(id);
   const double cload = nl.load_ff(id) + nl.cpar_ff(id);
+  std::array<double, StaResult::kArcSlots> arcs{};
 
   for (Edge out : {Edge::Rise, Edge::Fall}) {
     // High-Vt cells switch slower; the derate (exactly 1.0 on the default
@@ -46,12 +69,16 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
 
     double best = kNegInf;
     PathPoint best_prev;
-    for (NodeId f : node.fanins) {
+    for (std::size_t pin = 0; pin < node.fanins.size(); ++pin) {
+      const NodeId f = node.fanins[pin];
       for (Edge ein : cause_edges(cell, out)) {
-        const double at_f = r.arrival(f, ein);
-        if (at_f == kNegInf) continue;
+        // Cached even when the fanin is unreachable: the backward sweeps
+        // read every arc.
         const double d =
             dm_->delay_ps(cell, out, r.slew(f, ein), cin, cload) * derate;
+        arcs[arc_slot(cell, pin, out, ein)] = d;
+        const double at_f = r.arrival(f, ein);
+        if (at_f == kNegInf) continue;
         if (at_f + d > best) {
           best = at_f + d;
           best_prev = {f, ein};
@@ -61,6 +88,7 @@ void Sta::compute_node(NodeId id, StaResult& r) const {
     r.arrival_ps[static_cast<std::size_t>(id)][StaResult::idx(out)] = best;
     r.prev[static_cast<std::size_t>(id)][StaResult::idx(out)] = best_prev;
   }
+  r.arc_ps[static_cast<std::size_t>(id)] = arcs;
 }
 
 void Sta::finalize_critical(StaResult& r) const {
@@ -106,6 +134,7 @@ StaResult Sta::run() const {
   r.arrival_ps.assign(n, {kNegInf, kNegInf});
   r.slew_ps.assign(n, {opt_.pi_slew_ps, opt_.pi_slew_ps});
   r.prev.assign(n, {PathPoint{}, PathPoint{}});
+  r.arc_ps.assign(n, {});
 
   for (NodeId pi : nl.inputs()) {
     r.arrival_ps[static_cast<std::size_t>(pi)] = {0.0, 0.0};
@@ -121,9 +150,9 @@ StaResult Sta::run() const {
     // slews of strictly shallower levels (a gate's depth exceeds every
     // fanin's), all finalized by the preceding level barriers — so the
     // fan-out is bitwise-equal to the sequential loop at any worker
-    // count. depth_levels() walked topo_order() above, which also
-    // materialized the netlist's lazy fanout/topo caches before any
-    // worker can race to build them.
+    // count. depth_levels() walks topo_order(), which materializes the
+    // netlist's lazy topological order before any worker can race to
+    // build it (fanout lists are never lazy).
     const std::vector<std::vector<NodeId>> levels = depth_levels();
     obs::Span span("sta/level_sweep");
     span.arg("nodes", static_cast<double>(n));
@@ -167,17 +196,14 @@ double Sta::compute_down(NodeId id, Edge e, const StaResult& result,
   };
   double best = nl.node(id).is_output ? 0.0 : kNegInf;
   for (NodeId g : nl.fanouts(id)) {
-    const liberty::Cell& cell = nl.cell_of(g);
-    const double cin = nl.cin_ff(g);
-    const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+    const netlist::Node& gn = nl.node(g);
+    const liberty::Cell& cell = nl.lib().cell(gn.kind);
+    const std::size_t pin = pin_of(gn, id);
+    const auto& arcs = result.arc_ps[static_cast<std::size_t>(g)];
     for (Edge eout : {Edge::Rise, Edge::Fall}) {
-      const auto causes = cause_edges(cell, eout);
-      if (std::find(causes.begin(), causes.end(), e) == causes.end())
-        continue;
-      const double w = dm_->delay_ps(cell, eout, result.slew(id, e), cin,
-                                     cload) *
-                       dm_->vt_derate(nl.node(g).vt, eout);
-      const double cand = w + down[vid(g, eout)];
+      if (!cause_edges(cell, eout).contains(e)) continue;
+      const double cand =
+          arcs[arc_slot(cell, pin, eout, e)] + down[vid(g, eout)];
       best = std::max(best, cand);
     }
   }
@@ -239,7 +265,7 @@ std::vector<TimedPath> Sta::k_critical_paths(
   const std::size_t n = nl.size();
 
   // Timing-graph vertex v = 2*node + idx(edge). Static edge weight
-  // w((f,ein) -> (g,eout)) = delay(g, eout, slew(f,ein)).
+  // w((f,ein) -> (g,eout)) = delay(g, eout, slew(f,ein)): g's cached arc.
   auto vid = [](NodeId node, Edge e) {
     return 2 * static_cast<std::size_t>(node) + StaResult::idx(e);
   };
@@ -308,18 +334,15 @@ std::vector<TimedPath> Sta::k_critical_paths(
     std::sort(sinks.begin(), sinks.end());
     sinks.erase(std::unique(sinks.begin(), sinks.end()), sinks.end());
     for (NodeId g : sinks) {
-      const liberty::Cell& cell = nl.cell_of(g);
-      const double cin = nl.cin_ff(g);
-      const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+      const netlist::Node& gn = nl.node(g);
+      const liberty::Cell& cell = nl.lib().cell(gn.kind);
+      const std::size_t pin = pin_of(gn, node);
+      const auto& arcs = result.arc_ps[static_cast<std::size_t>(g)];
       for (Edge eout : {Edge::Rise, Edge::Fall}) {
-        const auto causes = cause_edges(cell, eout);
-        if (std::find(causes.begin(), causes.end(), e) == causes.end())
-          continue;
+        if (!cause_edges(cell, eout).contains(e)) continue;
         const std::size_t v2 = vid(g, eout);
         if (down[v2] == kNegInf) continue;
-        const double w =
-            dm_->delay_ps(cell, eout, result.slew(node, e), cin, cload) *
-            dm_->vt_derate(nl.node(g).vt, eout);
+        const double w = arcs[arc_slot(cell, pin, eout, e)];
         arena.push_back({v2, item.chain});
         heap.push({item.prefix + w + down[v2], item.prefix + w, v2,
                    static_cast<int>(arena.size()) - 1});
@@ -343,14 +366,13 @@ void Sta::compute_required(NodeId id, const StaResult& result, double tc_ps,
   req = nl.node(id).is_output ? std::array<double, 2>{tc_ps, tc_ps}
                               : std::array<double, 2>{kInf, kInf};
   for (NodeId g : nl.fanouts(id)) {
-    const liberty::Cell& cell = nl.cell_of(g);
-    const double cin = nl.cin_ff(g);
-    const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+    const netlist::Node& gn = nl.node(g);
+    const liberty::Cell& cell = nl.lib().cell(gn.kind);
+    const std::size_t pin = pin_of(gn, id);
+    const auto& arcs = result.arc_ps[static_cast<std::size_t>(g)];
     for (Edge eout : {Edge::Rise, Edge::Fall}) {
       for (Edge ein : cause_edges(cell, eout)) {
-        const double w =
-            dm_->delay_ps(cell, eout, result.slew(id, ein), cin, cload) *
-            dm_->vt_derate(nl.node(g).vt, eout);
+        const double w = arcs[arc_slot(cell, pin, eout, ein)];
         double& cell_req = req[StaResult::idx(ein)];
         cell_req = std::min(
             cell_req,

@@ -8,6 +8,18 @@
 // the critical path, and a K-longest-paths enumeration (in the spirit of
 // Yen/Du/Ghanta, DAC'89 — ref [11] of the paper) supplies the "user
 // specified limited number of paths" POPS optimises.
+//
+// Arc-delay cache: the forward kernel (compute_node) is the only place a
+// DelayModel is evaluated. It stores every gate arc it evaluates —
+// delay(cell, out, slew(fanin, ein), cin, cload) * Vt derate for each
+// (pin, output edge, causing input edge), reachable or not — in
+// StaResult::arc_ps. The backward sweeps (required times, downstream
+// bounds) and the K-paths edge weights read those arcs instead of
+// re-evaluating the model: the identical expression on identical
+// operands, so results are bit-identical to recomputing. Arcs are valid
+// only for the result that wrote them, i.e. for the netlist state that
+// result was computed on; a result kept current by IncrementalSta keeps
+// its arcs current too.
 
 #include <array>
 #include <cstddef>
@@ -52,8 +64,26 @@ struct StaOptions {
   std::size_t level_parallel_min_nodes = 50000;
 };
 
+/// Input edges of a cell that can cause one output edge: one edge for
+/// phase-definite cells, both for XOR/XNOR. A fixed-capacity value, so the
+/// per-arc loops allocate nothing.
+struct CauseEdges {
+  std::array<Edge, 2> edges{};
+  std::size_t count = 0;
+
+  const Edge* begin() const noexcept { return edges.data(); }
+  const Edge* end() const noexcept { return edges.data() + count; }
+  bool contains(Edge e) const noexcept {
+    return edges[0] == e || (count == 2 && edges[1] == e);
+  }
+};
+
 /// Full analysis result.
 struct StaResult {
+  /// Arc slots per node: 4 pins x 2 output edges, or XOR/XNOR's 2 pins x
+  /// 2 output edges x 2 causing input edges (see Sta::arc_slot).
+  static constexpr std::size_t kArcSlots = 8;
+
   /// Arrival time per node per edge (index with `idx(Edge)`); -inf if the
   /// (node, edge) vertex is unreachable.
   std::vector<std::array<double, 2>> arrival_ps;
@@ -61,6 +91,9 @@ struct StaResult {
   std::vector<std::array<double, 2>> slew_ps;
   /// Which (fanin, fanin-edge) realised the max arrival, for backtracking.
   std::vector<std::array<PathPoint, 2>> prev;
+  /// Gate arc delays (ps, Vt-derated) per node, at Sta::arc_slot(cell,
+  /// pin, out, ein); unused slots and PI rows are 0.
+  std::vector<std::array<double, kArcSlots>> arc_ps;
 
   double critical_delay_ps = 0.0;
   PathPoint critical_endpoint;
@@ -119,27 +152,32 @@ class Sta {
   /// worse edge: slack(n) = min over edges of (required - arrival).
   std::vector<double> slacks(const StaResult& result, double tc_ps) const;
 
+  /// Input edges of `cell` that can cause output edge `out`.
+  static CauseEdges cause_edges(const liberty::Cell& cell, Edge out) noexcept;
+
+  /// Slot of arc (pin, out, ein) of `cell` in a StaResult::arc_ps row.
+  static std::size_t arc_slot(const liberty::Cell& cell, std::size_t pin,
+                              Edge out, Edge ein) noexcept;
+
  private:
   friend class IncrementalSta;  // reuses the per-node kernels below
 
-  /// Input edges of `cell` that can cause output edge `out`:
-  /// returns one edge for phase-definite cells, both for XOR/XNOR.
-  static std::vector<Edge> cause_edges(const liberty::Cell& cell, Edge out);
-
-  /// Recompute slew/arrival/prev of gate `id` (both edges) from the fanin
-  /// values in `r` — the per-node kernel of run(). Deterministic in its
-  /// inputs, so replaying it on an unchanged neighbourhood is bit-identical.
+  /// Recompute slew/arrival/prev/arcs of gate `id` (both edges) from the
+  /// fanin values in `r` — the per-node kernel of run(), and the only
+  /// writer of arc_ps. Deterministic in its inputs, so replaying it on an
+  /// unchanged neighbourhood is bit-identical.
   void compute_node(netlist::NodeId id, StaResult& r) const;
 
   /// Downstream longest delay of one vertex from its fanouts' `down`
-  /// values — the per-vertex kernel of downstream_delays().
+  /// values and cached arcs — the per-vertex kernel of
+  /// downstream_delays().
   double compute_down(netlist::NodeId id, Edge e, const StaResult& result,
                       const std::vector<double>& down) const;
 
   /// Recompute required[id] (both edges) from the fanouts' finalized
-  /// `required` values — the per-node kernel of required_times(). Same
-  /// operation order as the historical monolithic sweep, so replaying it
-  /// on an unchanged neighbourhood is bit-identical.
+  /// `required` values and cached arcs — the per-node kernel of
+  /// required_times(). Same operation order as the historical monolithic
+  /// sweep, so replaying it on an unchanged neighbourhood is bit-identical.
   void compute_required(netlist::NodeId id, const StaResult& result,
                         double tc_ps,
                         std::vector<std::array<double, 2>>& required) const;

@@ -8,18 +8,27 @@
 // enumeration built on top (k_critical_paths) must return identical
 // paths. The fuzz suites below drive random mutation sequences on c17 /
 // c432 / c880 under BOTH delay-model backends (closed-form and table) and
-// assert the identity after every step.
+// assert the identity after every step. IncrementalStructuralFuzz mixes
+// every edit the pipeline makes — shield buffers, chained buffers that
+// exhaust the position gaps, inverter-pair cancellation rewires, resizes
+// and Vt flips — plus rewires against the topological order, and also
+// pins the cached arc delays and the gapped topological positions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "pops/core/buffer.hpp"
+#include "pops/core/netopt.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/netlist.hpp"
+#include "pops/obs/metrics.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/timing/incremental_sta.hpp"
 #include "pops/timing/sta.hpp"
@@ -62,6 +71,9 @@ void expect_bit_identical(const Netlist& nl, const DelayModel& dm,
       EXPECT_EQ(warm.prev[i][e], cold.prev[i][e])
           << when << ": prev of node " << i << " edge " << e;
     }
+    for (std::size_t k = 0; k < StaResult::kArcSlots; ++k)
+      EXPECT_TRUE(same_bits(warm.arc_ps[i][k], cold.arc_ps[i][k]))
+          << when << ": arc " << k << " of node " << i;
   }
   EXPECT_TRUE(same_bits(warm.critical_delay_ps, cold.critical_delay_ps))
       << when;
@@ -265,7 +277,7 @@ TEST(IncrementalSta, BufferAndResizeFuzzBitIdenticalBothBackends) {
           std::vector<NodeId> dirty = moved;
           dirty.push_back(driver);
           dirty.push_back(buf);
-          inc.update(dirty, /*structure_changed=*/true);
+          inc.update(dirty);
         } else {
           const NodeId g = gates[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(gates.size()) - 1))];
@@ -297,7 +309,7 @@ TEST(IncrementalSta, AppendedInputAndGateBitIdentical) {
   nl.mark_output(g, 25.0);
 
   const std::vector<NodeId> dirty{p, g, x};
-  inc.update(dirty, /*structure_changed=*/true);
+  inc.update(dirty);
   expect_bit_identical(nl, cf, inc, "appended PI + gate");
 }
 
@@ -368,6 +380,223 @@ TEST(IncrementalSta, SlacksAtVaryingTcBitIdentical) {
       }
     }
   }
+}
+
+// ----- fuzz: every structural edit of the pipeline ---------------------------
+
+double counter(const char* name) {
+  const util::Json snap = obs::Registry::global().snapshot_json();
+  const util::Json* v = snap.find("counters")->find(name);
+  return v ? v->as_number() : 0.0;
+}
+
+NodeId pick(const std::vector<NodeId>& ids, util::Rng& rng) {
+  return ids[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+}
+
+/// A gate driving at least `min_sinks` pins, or kNoNode.
+NodeId pick_driver(const Netlist& nl, util::Rng& rng, std::size_t min_sinks) {
+  const std::vector<NodeId> gates = nl.gates();
+  for (int tries = 0; tries < 50; ++tries) {
+    const NodeId cand = pick(gates, rng);
+    if (nl.fanouts(cand).size() >= min_sinks) return cand;
+  }
+  return netlist::kNoNode;
+}
+
+/// Appends a chain of `len` buffers on `driver`: the first captures all
+/// of its sinks, each later one is inserted between `driver` and the
+/// previous buffer, so every placement halves the same position gap (and
+/// a newer node becomes the fanin of an older one). `per_step` runs one
+/// update per insertion; otherwise the whole chain is one batch.
+void insert_chain(Netlist& nl, IncrementalSta& inc, NodeId driver, int len,
+                  bool per_step) {
+  std::vector<NodeId> dirty = nl.fanouts(driver);
+  dirty.push_back(driver);
+  NodeId prev = nl.insert_buffer(driver, liberty::CellKind::Buf,
+                                 nl.fresh_name("ch"));
+  dirty.push_back(prev);
+  for (int i = 1; i < len; ++i) {
+    if (per_step) {
+      inc.update(dirty);
+      dirty.clear();
+    }
+    const NodeId buf = nl.insert_buffer(driver, liberty::CellKind::Buf,
+                                        nl.fresh_name("ch"), {prev});
+    dirty.push_back(driver);
+    dirty.push_back(buf);
+    dirty.push_back(prev);  // its fanin moved to `buf`
+    prev = buf;
+  }
+  inc.update(dirty);
+}
+
+TEST(IncrementalStructuralFuzz, MixedEditsBitIdenticalBothBackends) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  for (const char* name : {"c17", "c432", "c880"}) {
+    for (const BackendCase& bc : backends.cases()) {
+      SCOPED_TRACE(std::string(name) + " / " + bc.label);
+      Netlist nl = netlist::make_benchmark(lib, name);
+      const int n_vt = static_cast<int>(lib.tech().n_vt_classes());
+      util::Rng rng(0x57A7u);
+      // No built-in circuit has XOR/XNOR (four arcs per pin); recast some
+      // NAND2s — timing does not read the logic function.
+      for (NodeId g : nl.gates())
+        if (nl.node(g).kind == liberty::CellKind::Nand2 && rng.uniform() < 0.3)
+          nl.replace_cell(g, rng.uniform() < 0.5 ? liberty::CellKind::Xor2
+                                                 : liberty::CellKind::Xnor2);
+      IncrementalSta inc(nl, bc.dm);
+      inc.run_full();
+
+      const int steps = nl.size() > 100 ? 14 : 24;
+      for (int step = 0; step < steps; ++step) {
+        const int op = static_cast<int>(rng.uniform_int(0, 5));
+        std::string what;
+        if (op == 0) {
+          what = "shield buffer";
+          const NodeId driver = pick_driver(nl, rng, 2);
+          if (driver == netlist::kNoNode) continue;
+          const std::vector<NodeId> sinks = nl.fanouts(driver);
+          std::vector<NodeId> moved;
+          for (NodeId s : sinks)
+            if (moved.empty() || rng.uniform() < 0.5) moved.push_back(s);
+          if (moved.size() == sinks.size()) moved.pop_back();
+          const NodeId buf = nl.insert_buffer(
+              driver, liberty::CellKind::Buf, nl.fresh_name("sh"), moved);
+          nl.set_drive(buf, random_drive(nl, rng));
+          std::vector<NodeId> dirty = moved;
+          dirty.push_back(driver);
+          dirty.push_back(buf);
+          inc.update(dirty);
+        } else if (op == 1) {
+          what = "buffer chain";
+          const NodeId driver = pick_driver(nl, rng, 1);
+          if (driver == netlist::kNoNode) continue;
+          insert_chain(nl, inc, driver,
+                       static_cast<int>(rng.uniform_int(2, 5)),
+                       rng.uniform() < 0.5);
+        } else if (op == 2) {
+          what = "inverter pair + cancel";
+          // Plant an Inv -> Inv pair behind a driver (capture-all twice,
+          // PO role included), then cancel it as the cleanup pass does.
+          const NodeId driver = pick_driver(nl, rng, 1);
+          if (driver == netlist::kNoNode) continue;
+          std::vector<NodeId> dirty = nl.fanouts(driver);
+          const NodeId i1 = nl.insert_buffer(driver, liberty::CellKind::Inv,
+                                             nl.fresh_name("i"));
+          const NodeId i2 = nl.insert_buffer(i1, liberty::CellKind::Inv,
+                                             nl.fresh_name("i"));
+          dirty.insert(dirty.end(), {driver, i1, i2});
+          inc.update(dirty);
+          expect_bit_identical(nl, bc.dm, inc, "planted inverter pair");
+          if (HasFatalFailure()) return;
+          std::vector<NodeId> rewired;
+          ASSERT_GT(core::cancel_inverter_pairs(nl, &rewired), 0u);
+          inc.update(rewired);
+        } else if (op == 3) {
+          what = "resize";
+          const std::vector<NodeId> gates = nl.gates();
+          std::vector<NodeId> dirty;
+          for (int i = 0; i < 3; ++i) {
+            const NodeId g = pick(gates, rng);
+            nl.set_drive(g, random_drive(nl, rng));
+            dirty.push_back(g);
+          }
+          inc.update(dirty);
+        } else if (op == 4) {
+          what = "rewire to a later driver";
+          // Re-point one pin of `s` at a gate that comes after it in the
+          // topological order but outside its fanout cone (so the graph
+          // stays acyclic): the new edge runs against the old positions.
+          const NodeId s = pick(nl.gates(), rng);
+          std::vector<char> cone(nl.size(), 0);
+          std::vector<NodeId> stack{s};
+          cone[static_cast<std::size_t>(s)] = 1;
+          while (!stack.empty()) {
+            const NodeId id = stack.back();
+            stack.pop_back();
+            for (NodeId g : nl.fanouts(id))
+              if (!cone[static_cast<std::size_t>(g)]) {
+                cone[static_cast<std::size_t>(g)] = 1;
+                stack.push_back(g);
+              }
+          }
+          const std::vector<NodeId>& topo = nl.topo_order();
+          const auto at = std::find(topo.begin(), topo.end(), s);
+          std::vector<NodeId> later;
+          for (auto it = at + 1; it != topo.end(); ++it)
+            if (!cone[static_cast<std::size_t>(*it)] && nl.is_gate(*it))
+              later.push_back(*it);
+          if (later.empty()) continue;
+          const NodeId y = pick(later, rng);
+          const NodeId f = nl.node(s).fanins.front();
+          nl.rewire_fanin(s, f, y);
+          const NodeId dirty[] = {s, f, y};
+          inc.update(dirty);
+        } else {
+          what = "vt flip";
+          const NodeId g = pick(nl.gates(), rng);
+          nl.set_vt_class(g, (nl.vt_class(g) + 1) % n_vt);
+          const NodeId dirty[] = {g};
+          inc.update(dirty);
+        }
+        expect_bit_identical(nl, bc.dm, inc, what.c_str());
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(IncrementalStructuralFuzz, ExhaustedGapsRenumberAndStayExact) {
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  for (const BackendCase& bc : backends.cases()) {
+    SCOPED_TRACE(bc.label);
+    Netlist nl = netlist::make_benchmark(lib, "c432");
+    IncrementalSta inc(nl, bc.dm);
+    inc.run_full();
+    inc.update({});  // numbers the positions
+    expect_bit_identical(nl, bc.dm, inc, "numbered");
+
+    // 2^20 spacing leaves room for 19 halvings of the tightest gap: a
+    // 16-long chain, one update per buffer, fits without a renumber; a
+    // 24-long one must hit the fallback.
+    util::Rng rng(0x6A9u);
+    const double before = counter("sta.position_renumbers");
+    insert_chain(nl, inc, pick_driver(nl, rng, 2), 16, /*per_step=*/true);
+    EXPECT_EQ(counter("sta.position_renumbers"), before);
+    expect_bit_identical(nl, bc.dm, inc, "16-chain, per-step updates");
+    if (HasFatalFailure()) return;
+    insert_chain(nl, inc, pick_driver(nl, rng, 2), 24, /*per_step=*/true);
+    EXPECT_GT(counter("sta.position_renumbers"), before);
+    expect_bit_identical(nl, bc.dm, inc, "24-chain, per-step updates");
+    if (HasFatalFailure()) return;
+
+    // One batch in which a newer buffer feeds an older one: id order is
+    // not topological, so the edge check must catch it.
+    insert_chain(nl, inc, pick_driver(nl, rng, 2), 4, /*per_step=*/false);
+    expect_bit_identical(nl, bc.dm, inc, "4-chain, one batch");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IncrementalStructuralFuzz, ShieldPassNeedsNoRenumber) {
+  // The shield pass's edits (a buffer between a driver and some of its
+  // sinks) fit the gap between the two: no renumber.
+  const liberty::Library lib = test_lib();
+  const ClosedFormModel cf(lib);
+  Netlist nl = netlist::make_benchmark(lib, "c880");
+  IncrementalSta inc(nl, cf);
+  inc.run_full();
+  core::FlimitTable table;
+  const double before = counter("sta.position_renumbers");
+  const core::ShieldReport r =
+      core::shield_high_fanout_nets(nl, cf, table, {}, &inc);
+  ASSERT_GT(r.buffers_inserted, 1u);
+  EXPECT_EQ(counter("sta.position_renumbers"), before);
+  expect_bit_identical(nl, cf, inc, "after shield pass");
 }
 
 }  // namespace

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "pops/liberty/library.hpp"
+#include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/netlist.hpp"
+#include "pops/obs/metrics.hpp"
 #include "pops/process/technology.hpp"
+#include "pops/timing/sta.hpp"
+#include "pops/util/rng.hpp"
 
 namespace {
 
@@ -215,6 +222,180 @@ TEST_F(NetlistTest, FreshNameNeverCollides) {
   const std::string n2 = nl.fresh_name("buf");
   EXPECT_NE(n1, "buf_0");
   EXPECT_NE(n1, n2);
+}
+
+// ---- fanout lists kept exact under edits -------------------------------------
+
+/// Fanout lists built from scratch out of the fanin lists: ascending sink
+/// ids, one entry per consuming pin.
+std::vector<std::vector<NodeId>> rebuilt_fanouts(const Netlist& nl) {
+  std::vector<std::vector<NodeId>> out(nl.size());
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id)
+    for (NodeId f : nl.node(id).fanins)
+      out[static_cast<std::size_t>(f)].push_back(id);
+  return out;
+}
+
+/// Every maintained list equals the rebuild element for element, and a
+/// from_nodes round trip (the one from-scratch build) reproduces both the
+/// lists and the topological order.
+void expect_exact_fanouts(const Netlist& nl, const std::string& when) {
+  const std::vector<std::vector<NodeId>> want = rebuilt_fanouts(nl);
+  std::vector<Node> nodes;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id) {
+    ASSERT_EQ(nl.fanouts(id), want[static_cast<std::size_t>(id)])
+        << when << ": fanouts of " << nl.node(id).name;
+    nodes.push_back(nl.node(id));
+  }
+  const Netlist copy = Netlist::from_nodes(
+      nl.lib(), nl.name(), std::move(nodes), nl.fresh_counter());
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id)
+    ASSERT_EQ(copy.fanouts(id), nl.fanouts(id)) << when << ": round trip";
+  ASSERT_EQ(copy.topo_order(), nl.topo_order()) << when << ": topo order";
+}
+
+TEST_F(NetlistTest, FanoutsStayExactUnderRandomBufferInsertion) {
+  for (const char* name : {"c432", "c880"}) {
+    Netlist nl = make_benchmark(lib, name);
+    pops::util::Rng rng(0xFA70u);
+    for (int step = 0; step < 40; ++step) {
+      const std::vector<NodeId> gates = nl.gates();
+      const NodeId driver = gates[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(gates.size()) - 1))];
+      const std::vector<NodeId> sinks = nl.fanouts(driver);
+      if (step % 4 == 3) {
+        // Capture-all: every sink moves, and a PO driver hands its PO
+        // role to the buffer.
+        nl.insert_buffer(driver, CellKind::Buf, nl.fresh_name("all"));
+      } else {
+        if (sinks.size() < 2) continue;
+        std::vector<NodeId> moved;
+        for (NodeId s : sinks)
+          if (rng.uniform() < 0.5) moved.push_back(s);
+        if (moved.empty()) moved.push_back(sinks.back());
+        nl.insert_buffer(driver, CellKind::Buf, nl.fresh_name("sub"), moved);
+      }
+      expect_exact_fanouts(nl, std::string(name) + " step " +
+                                   std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_NO_THROW(nl.validate());
+  }
+}
+
+TEST_F(NetlistTest, FanoutsStayExactUnderRewiresOfDoublyFedGates) {
+  Netlist nl(lib);
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId x = nl.add_gate(CellKind::Inv, "x", {a});
+  const NodeId y = nl.add_gate(CellKind::Inv, "y", {b});
+  // Gates that take one driver on two (or three) pins.
+  const NodeId g1 = nl.add_gate(CellKind::Nand2, "g1", {x, x});
+  const NodeId g2 = nl.add_gate(CellKind::Nor3, "g2", {x, y, x});
+  const NodeId g3 = nl.add_gate(CellKind::Xor2, "g3", {y, y});
+  const NodeId g4 = nl.add_gate(CellKind::Nand3, "g4", {g1, g1, g2});
+  nl.mark_output(g3, 1.0);
+  nl.mark_output(g4, 1.0);
+  expect_exact_fanouts(nl, "built");
+  EXPECT_EQ(nl.fanouts(x), (std::vector<NodeId>{g1, g1, g2, g2}));
+
+  // Rewire one pin at a time; the other pin keeps its entry.
+  nl.rewire_fanin(g1, x, y);
+  expect_exact_fanouts(nl, "g1 pin to y");
+  EXPECT_EQ(nl.fanouts(x), (std::vector<NodeId>{g1, g2, g2}));
+  EXPECT_EQ(nl.fanouts(y), (std::vector<NodeId>{g1, g2, g3, g3}));
+  nl.rewire_fanin(g2, x, a);
+  expect_exact_fanouts(nl, "g2 pin to a");
+  nl.rewire_fanin(g3, y, x);
+  expect_exact_fanouts(nl, "g3 pin to x");
+  nl.rewire_fanin(g4, g1, x);
+  expect_exact_fanouts(nl, "g4 pin to x");
+  nl.rewire_fanin(g1, x, y);
+  expect_exact_fanouts(nl, "g1 second pin to y");
+  EXPECT_EQ(nl.fanouts(y), (std::vector<NodeId>{g1, g1, g2, g3}));
+  // Rewiring to the same driver is a no-op on the lists.
+  nl.rewire_fanin(g2, y, y);
+  expect_exact_fanouts(nl, "self rewire");
+
+  // A capture-all buffer on a doubly-feeding driver moves both pins.
+  const NodeId buf = nl.insert_buffer(y, CellKind::Buf, "by");
+  expect_exact_fanouts(nl, "capture-all on y");
+  EXPECT_EQ(nl.fanouts(y), std::vector<NodeId>{buf});
+  EXPECT_EQ(nl.fanouts(buf), (std::vector<NodeId>{g1, g1, g2, g3}));
+
+  // A rewire that empties the old driver's list (z stays a PO).
+  const NodeId z = nl.add_gate(CellKind::Inv, "z", {b});
+  const NodeId g5 = nl.add_gate(CellKind::Nand2, "g5", {z, a});
+  nl.mark_output(z, 1.0);
+  nl.mark_output(g5, 1.0);
+  nl.rewire_fanin(g5, z, x);
+  expect_exact_fanouts(nl, "last sink moved off z");
+  EXPECT_TRUE(nl.fanouts(z).empty());
+
+  EXPECT_THROW(nl.rewire_fanin(g1, a, b), std::invalid_argument);
+  EXPECT_THROW(nl.rewire_fanin(g1, buf, 999), std::out_of_range);
+  expect_exact_fanouts(nl, "rejected rewires");
+}
+
+TEST_F(NetlistTest, TopoRebuildIsLazyAndCounted) {
+  auto rebuilds = [] {
+    const pops::util::Json snap =
+        pops::obs::Registry::global().snapshot_json();
+    const pops::util::Json* v =
+        snap.find("counters")->find("netlist.topo_rebuilds");
+    return v ? v->as_number() : 0.0;
+  };
+  // Built-ins come back validated, with the order built, and copies
+  // carry it: a pipeline's per-copy work does not depend on whether the
+  // prototype was queried first.
+  const double before = rebuilds();
+  Netlist nl = make_benchmark(lib, "c17");
+  const double built = rebuilds();
+  EXPECT_EQ(built, before + 1.0);
+  const Netlist copy = nl;
+  (void)copy.topo_order();
+  (void)nl.topo_order();
+  EXPECT_EQ(rebuilds(), built);
+  const NodeId g = nl.gates().front();
+  nl.insert_buffer(g, CellKind::Buf, "b0");
+  (void)nl.fanouts(g);
+  (void)nl.load_ff(g);
+  EXPECT_EQ(rebuilds(), built);  // fanout queries never rebuild
+  (void)nl.topo_order();
+  (void)nl.topo_order();
+  EXPECT_EQ(rebuilds(), built + 1.0);
+}
+
+// ---- O(1) cell lookup and allocation-free cause edges ------------------------
+
+TEST_F(NetlistTest, LibraryCellIndexesKindsAndRejectsOutOfRange) {
+  for (const CellKind k : pops::liberty::all_cell_kinds())
+    EXPECT_EQ(lib.cell(k).kind, k);
+  EXPECT_THROW(lib.cell(static_cast<CellKind>(pops::liberty::kCellKindCount)),
+               std::logic_error);
+  EXPECT_THROW(lib.cell(static_cast<CellKind>(-1)), std::logic_error);
+}
+
+TEST_F(NetlistTest, CauseEdgesBothForXorOneOtherwise) {
+  using pops::timing::Edge;
+  using pops::timing::Sta;
+  for (const CellKind k : pops::liberty::all_cell_kinds()) {
+    const pops::liberty::Cell& cell = lib.cell(k);
+    for (const Edge out : {Edge::Rise, Edge::Fall}) {
+      const pops::timing::CauseEdges causes = Sta::cause_edges(cell, out);
+      const std::vector<Edge> got(causes.begin(), causes.end());
+      if (k == CellKind::Xor2 || k == CellKind::Xnor2) {
+        EXPECT_EQ(got, (std::vector<Edge>{Edge::Rise, Edge::Fall}))
+            << cell.name;
+        EXPECT_TRUE(causes.contains(Edge::Rise) && causes.contains(Edge::Fall));
+      } else {
+        const Edge want = cell.inverting ? pops::timing::flip(out) : out;
+        EXPECT_EQ(got, std::vector<Edge>{want}) << cell.name;
+        EXPECT_TRUE(causes.contains(want));
+        EXPECT_FALSE(causes.contains(pops::timing::flip(want))) << cell.name;
+      }
+    }
+  }
 }
 
 // ---- build_wide_gate ---------------------------------------------------------

@@ -275,9 +275,10 @@ TEST(ConcurrencyTest, ObsTraceDrainsWhileWritersAppend) {
       EXPECT_EQ(list[i]->find("name")->as_string(),
                 is_inner ? "stress/inner" : "stress/outer");
       EXPECT_EQ(list[i]->find("depth")->as_number(), is_inner ? 2.0 : 1.0);
-      if (i > 0)
+      if (i > 0) {
         EXPECT_EQ(list[i]->find("seq")->as_number(),
                   list[i - 1]->find("seq")->as_number() + 1.0);
+      }
     }
   }
 }

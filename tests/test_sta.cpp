@@ -15,6 +15,8 @@
 #include "pops/netlist/netlist.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/timing/sta.hpp"
+#include "pops/timing/table_model.hpp"
+#include "pops/util/rng.hpp"
 
 namespace {
 
@@ -283,6 +285,99 @@ TEST_F(StaTest, LevelParallelSweepsBitIdenticalToSequential) {
       for (std::size_t p = 0; p < want_paths.size(); ++p) {
         EXPECT_TRUE(same_bits(got_paths[p].delay_ps, want_paths[p].delay_ps));
         EXPECT_EQ(got_paths[p].points, want_paths[p].points);
+      }
+    }
+  }
+}
+
+// The arc-delay cache against the formulation it replaced: every arc
+// re-evaluated from the delay model where it is read. Cached arcs,
+// required times, downstream bounds and K-path delays must equal it bit
+// for bit, under both delay backends, with mixed sizes and Vt classes,
+// and with some NAND2s recast as XOR2/XNOR2 (four arcs per pin; no
+// built-in circuit has them).
+TEST_F(StaTest, ArcCacheMatchesDirectDelayModelEvaluation) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const TableModel table = TableModel::characterize(dm);
+  for (const DelayModel* model : {static_cast<const DelayModel*>(&dm),
+                                  static_cast<const DelayModel*>(&table)}) {
+    for (const char* name : {"c432", "c1355"}) {
+      SCOPED_TRACE(name);
+      Netlist nl = make_benchmark(lib, name);
+      pops::util::Rng rng(0xA5Cu);
+      for (NodeId g : nl.gates()) {
+        nl.set_drive(g, rng.uniform(lib.wmin_um(), 4.0 * lib.wmin_um()));
+        if (rng.uniform() < 0.3) nl.set_vt_class(g, 1);
+        if (nl.node(g).kind == CellKind::Nand2 && rng.uniform() < 0.4)
+          nl.replace_cell(g, rng.uniform() < 0.5 ? CellKind::Xor2
+                                                 : CellKind::Xnor2);
+      }
+      const Sta sta(nl, *model);
+      const StaResult r = sta.run();
+      auto arc = [&](NodeId g, NodeId f, Edge out, Edge ein) {
+        const double cload = nl.load_ff(g) + nl.cpar_ff(g);
+        return model->delay_ps(nl.cell_of(g), out, r.slew(f, ein),
+                               nl.cin_ff(g), cload) *
+               model->vt_derate(nl.node(g).vt, out);
+      };
+
+      // Every stored arc sits at its slot.
+      for (NodeId g : nl.gates()) {
+        const Node& gn = nl.node(g);
+        const auto& cell = nl.cell_of(g);
+        for (std::size_t pin = 0; pin < gn.fanins.size(); ++pin)
+          for (Edge out : {Edge::Rise, Edge::Fall})
+            for (Edge ein : Sta::cause_edges(cell, out))
+              ASSERT_TRUE(same_bits(
+                  r.arc_ps[static_cast<std::size_t>(g)]
+                          [Sta::arc_slot(cell, pin, out, ein)],
+                  arc(g, gn.fanins[pin], out, ein)))
+                  << gn.name << " pin " << pin;
+      }
+
+      // Required times and downstream bounds, arcs recomputed.
+      const double tc = r.critical_delay_ps;
+      std::vector<std::array<double, 2>> req(nl.size());
+      std::vector<double> down(2 * nl.size());
+      const auto& topo = nl.topo_order();
+      for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        const NodeId id = *it;
+        const auto i = static_cast<std::size_t>(id);
+        const bool po = nl.node(id).is_output;
+        req[i] = po ? std::array<double, 2>{tc, tc}
+                    : std::array<double, 2>{kInf, kInf};
+        down[2 * i] = down[2 * i + 1] = po ? 0.0 : -kInf;
+        for (NodeId g : nl.fanouts(id)) {
+          const auto gi = static_cast<std::size_t>(g);
+          for (Edge eout : {Edge::Rise, Edge::Fall})
+            for (Edge ein : Sta::cause_edges(nl.cell_of(g), eout)) {
+              const double w = arc(g, id, eout, ein);
+              const std::size_t ei = StaResult::idx(ein);
+              const std::size_t eo = StaResult::idx(eout);
+              req[i][ei] = std::min(req[i][ei], req[gi][eo] - w);
+              down[2 * i + ei] =
+                  std::max(down[2 * i + ei], w + down[2 * gi + eo]);
+            }
+        }
+      }
+      const auto got_req = sta.required_times(r, tc);
+      const auto got_down = sta.downstream_delays(r);
+      for (std::size_t i = 0; i < nl.size(); ++i)
+        for (std::size_t e = 0; e < 2; ++e) {
+          ASSERT_TRUE(same_bits(got_req[i][e], req[i][e])) << "node " << i;
+          ASSERT_TRUE(same_bits(got_down[2 * i + e], down[2 * i + e]))
+              << "vertex " << 2 * i + e;
+        }
+
+      // K-path delays: the recomputed arcs summed along each path.
+      const auto paths = sta.k_critical_paths(r, 8);
+      ASSERT_FALSE(paths.empty());
+      for (const TimedPath& p : paths) {
+        double d = 0.0;
+        for (std::size_t k = 1; k < p.points.size(); ++k)
+          d = d + arc(p.points[k].node, p.points[k - 1].node,
+                      p.points[k].edge, p.points[k - 1].edge);
+        EXPECT_TRUE(same_bits(p.delay_ps, d));
       }
     }
   }
