@@ -1,7 +1,7 @@
 // bench_intra_circuit — the intra-circuit timing-engine experiments:
 //
-//   1. slack maintenance   incremental slack queries after a 1-gate edit
-//                          vs a cold STA + backward sweep (c1355);
+//   1. slack queries       incremental update + slack map after a 1-gate
+//                          edit vs a cold STA + backward sweep (c1355);
 //   2. K-path gating       cached re-enumeration skips on a real protocol
 //                          run (zero-progress rounds replay the last list);
 //   3. cross-pass sharing  full O(E) STA runs per optimized point under
@@ -52,9 +52,10 @@ bool same_bits(double a, double b) {
 
 void slack_incremental(const api::OptContext& ctx, util::Json& doc) {
   print_header(
-      "Leg 1 — slack queries after a 1-gate edit: maintained vs cold",
-      "shield-style per-candidate slack queries cost O(dirty cone), not "
-      "O(E)");
+      "Leg 1 — slack queries after a 1-gate edit: incremental vs cold",
+      "shield-style per-candidate slack queries cost an O(dirty cone) "
+      "update plus an O(N) map over the maintained bounds, not an O(E) "
+      "re-analysis");
 
   const std::string circuit = "c1355";
   constexpr int kIters = 200;
@@ -68,7 +69,7 @@ void slack_incremental(const api::OptContext& ctx, util::Json& doc) {
 
   timing::IncrementalSta inc(nl, dm);
   const double tc = inc.run_full().critical_delay_ps;
-  inc.slacks(tc);  // materialize once; the loop below only maintains
+  inc.slacks(tc);  // materializes the bounds; update() maintains them
 
   const double ms_inc = time_ms([&] {
     for (int i = 0; i < kIters; ++i) {

@@ -59,6 +59,8 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "IncrementalStructuralFuzz\." > /dev
   || { echo "ASan job does not cover the structural-edit fuzz tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "ShieldMatchesHistoricalFullSweepBitwise" > /dev/null \
   || { echo "ASan job does not cover the shield parity regression"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "SlackIsTcMinusDownstreamMinusArrivalBitwise" > /dev/null \
+  || { echo "ASan job does not cover the slack-definition test"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "EngineSharing\." > /dev/null \
   || { echo "ASan job does not cover the engine-sharing obs tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"

@@ -54,14 +54,15 @@ print("power smoke OK:",
 PY
 
 # Exit contract: an infeasible constraint still exits 2 under the power
-# axes (and 0 with --allow-unmet).
+# axes (and 0 with --allow-unmet). Tc = 0.2x the initial delay is far
+# below what sizing and shielding reach on c432 (0.5x is within reach).
 set +e
-"${BUILD_DIR}/pops_sweep" --tc 0.5 --power-model state --temperature 85 \
+"${BUILD_DIR}/pops_sweep" --tc 0.2 --power-model state --temperature 85 \
     --out /dev/null @c432 2> /dev/null
 rc=$?
 set -e
 [[ "${rc}" -eq 2 ]] || { echo "expected exit 2 on unmet points, got ${rc}"; exit 1; }
-"${BUILD_DIR}/pops_sweep" --tc 0.5 --power-model state --temperature 85 \
+"${BUILD_DIR}/pops_sweep" --tc 0.2 --power-model state --temperature 85 \
     --allow-unmet --out /dev/null @c432 2> /dev/null \
     || { echo "--allow-unmet must exit 0"; exit 1; }
 echo "power exit-contract OK"

@@ -131,12 +131,11 @@ ShieldReport shield_high_fanout_nets(Netlist& nl,
     const NodeId g = cand.net;
 
     // Keep the most timing-critical sink direct: smallest slack w.r.t.
-    // the current critical delay — the pass's historical definition,
-    // preserved bit for bit (the parity regression in test_netopt.cpp
-    // pins it). The engine's slack cache is keyed on the tc bit pattern,
-    // so this costs O(dirty cone) for every candidate whose preceding
-    // edits left the critical delay unchanged, and one full backward
-    // re-materialization only when the delay actually moved.
+    // the current critical delay — the pass's historical definition (the
+    // parity regression in test_netopt.cpp pins it against a cold run per
+    // candidate). Slacks are an O(N) map over the engine's maintained
+    // arrivals and downstream bounds, so no query sweeps the netlist
+    // backward.
     const std::vector<double>& slack =
         sta.slacks(sta.result().critical_delay_ps);
     const std::vector<NodeId> sinks = nl.fanouts(g);

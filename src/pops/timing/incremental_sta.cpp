@@ -53,7 +53,6 @@ const StaResult& IncrementalSta::result() const {
 void IncrementalSta::invalidate() noexcept {
   valid_ = false;
   down_valid_ = false;
-  slack_valid_ = false;
   paths_valid_ = false;
   positions_valid_ = false;
   ++revision_;
@@ -82,40 +81,21 @@ const std::vector<TimedPath>& IncrementalSta::k_critical_paths(
   return paths_;
 }
 
-void IncrementalSta::materialize_slacks(double tc_ps) const {
-  // One full backward sweep (the historical per-query cost), after which
-  // update() maintains both vectors over dirty cones.
-  obs::Span span("sta/slack_full");
-  req_ = sta_.required_times(res_, tc_ps);
-  const std::size_t n = nl_->size();
-  slack_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    slack_[i] = sta_.compute_slack(static_cast<NodeId>(i), res_, req_);
-  slack_valid_ = true;
-  slack_tc_ps_ = tc_ps;
-}
-
 const std::vector<double>& IncrementalSta::slacks(double tc_ps) const {
-  (void)result();  // throws before the first run
-  if (!slack_valid_ || !same_bits(tc_ps, slack_tc_ps_))
-    materialize_slacks(tc_ps);
+  obs::Span span("sta/slack_full");
+  const std::vector<double>& down = downstream();  // throws before a run
+  slack_.resize(nl_->size());
+  for (std::size_t i = 0; i < slack_.size(); ++i)
+    slack_[i] = Sta::compute_slack(static_cast<NodeId>(i), res_, down, tc_ps);
   return slack_;
-}
-
-const std::vector<std::array<double, 2>>& IncrementalSta::required_times(
-    double tc_ps) const {
-  (void)result();
-  if (!slack_valid_ || !same_bits(tc_ps, slack_tc_ps_))
-    materialize_slacks(tc_ps);
-  return req_;
 }
 
 const std::vector<double>& IncrementalSta::downstream() const {
   if (!valid_)
     throw std::logic_error("IncrementalSta: no result yet (call run_full)");
-  // Lazily computed on first query: consumers that never enumerate paths
-  // (the shield pass, initial-delay measurements) skip the O(E) bound
-  // sweep entirely; once queried, update() maintains the vector.
+  // Lazily computed on first query: consumers that neither enumerate
+  // paths nor query slacks (initial-delay measurements) skip the O(E)
+  // bound sweep entirely; once queried, update() maintains the vector.
   if (!down_valid_) {
     down_ = sta_.downstream_delays(res_);
     down_valid_ = true;
@@ -187,14 +167,6 @@ void IncrementalSta::grow_arrays(std::size_t n) {
     if (nl_->node(static_cast<NodeId>(i)).is_input)
       res_.arrival_ps[i] = {0.0, 0.0};
   if (down_valid_) down_.resize(2 * n, kNegInf);
-  if (slack_valid_) {
-    // The "unconstrained" defaults; appended nodes are in the dirty set,
-    // so the backward worklist computes their real values below — these
-    // inits only show through for vertices a cold sweep leaves at +inf.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    req_.resize(n, {kInf, kInf});
-    slack_.resize(n, kInf);
-  }
   // Positions and the scratch flags are sized by update()'s placement.
 }
 
@@ -208,7 +180,6 @@ const StaResult& IncrementalSta::run_full() {
   // so one-shot consumers (initial-delay measurements) pay nothing extra.
   res_ = sta_.run();
   down_valid_ = false;
-  slack_valid_ = false;
   paths_valid_ = false;
   positions_valid_ = false;
   valid_ = true;
@@ -283,7 +254,6 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
   for (NodeId id : seeds) push_fwd(id);
 
   std::vector<NodeId> slew_changed;
-  std::vector<NodeId> arrival_changed;  // slack(n) reads arrival(n)
   while (!fwd.empty()) {
     const NodeId id = fwd.top().second;
     fwd.pop();
@@ -300,7 +270,6 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
         !same_bits(res_.arrival_ps[i][0], old_arrival[0]) ||
         !same_bits(res_.arrival_ps[i][1], old_arrival[1]);
     if (slew_diff) slew_changed.push_back(id);
-    if (arrival_diff) arrival_changed.push_back(id);
     if (slew_diff || arrival_diff)
       for (NodeId g : nl_->fanouts(id)) push_fwd(g);
   }
@@ -311,7 +280,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
   // the readers are fanins(F)), slew(f) (changed = slew_changed), f's own
   // fanout set / PO flag (changed nodes are in the dirty set ⊆ F), and
   // down[g] (propagated below). Only maintained once a consumer has asked
-  // for the bounds (down_valid_); never-enumerating users skip it.
+  // for the bounds or slacks (down_valid_); other users skip it.
   if (down_valid_) {
     std::priority_queue<Pos> bwd;  // max position first = reverse topo
     auto push_bwd = [&](NodeId id) {
@@ -346,54 +315,6 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
     }
   }
 
-  // ----- backward pass: required times + slacks -----------------------------
-  // req[id] reads, per fanout g: cin(g)/cload(g) (changed g ∈ seeds ⇒
-  // readers ⊆ fanins(seeds)), slew(id) (slew_changed), id's own PO flag /
-  // fanout set (dirty ⊆ seeds), and req[g] (propagated) — the same seed
-  // set as the bound pass above. slack(id) then reads only (arrival(id),
-  // req(id)), so recomputing it for the union of arrival-changed and
-  // req-changed nodes is exhaustive. Only maintained once a consumer has
-  // queried slacks()/required_times() at some tc.
-  if (slack_valid_) {
-    obs::Span slack_span("sta/slack_update");
-    std::priority_queue<Pos> bwd;  // max position first = reverse topo
-    auto push_bwd = [&](NodeId id) {
-      const auto i = static_cast<std::size_t>(id);
-      if (in_heap_[i]) return;
-      in_heap_[i] = 1;
-      bwd.emplace(topo_pos_[i], id);
-    };
-    for (NodeId id : seeds) {
-      push_bwd(id);
-      for (NodeId f : nl_->node(id).fanins) push_bwd(f);
-    }
-    for (NodeId id : slew_changed) push_bwd(id);
-
-    std::vector<NodeId> req_changed;
-    while (!bwd.empty()) {
-      const NodeId id = bwd.top().second;
-      bwd.pop();
-      const auto i = static_cast<std::size_t>(id);
-      in_heap_[i] = 0;
-
-      const std::array<double, 2> old_req = req_[i];
-      sta_.compute_required(id, res_, slack_tc_ps_, req_);
-      if (!same_bits(req_[i][0], old_req[0]) ||
-          !same_bits(req_[i][1], old_req[1])) {
-        req_changed.push_back(id);
-        for (NodeId f : nl_->node(id).fanins) push_bwd(f);
-      }
-    }
-
-    slack_span.arg("req_changed", static_cast<double>(req_changed.size()));
-    for (NodeId id : arrival_changed)
-      slack_[static_cast<std::size_t>(id)] =
-          sta_.compute_slack(id, res_, req_);
-    for (NodeId id : req_changed)
-      slack_[static_cast<std::size_t>(id)] =
-          sta_.compute_slack(id, res_, req_);
-  }
-
   for (NodeId id : seeds) seed_mark_[static_cast<std::size_t>(id)] = 0;
 
 #ifndef NDEBUG
@@ -406,16 +327,11 @@ void IncrementalSta::check_against_full() const {
   if (!valid_)
     throw std::logic_error("IncrementalSta: no result to check");
   const StaResult cold = sta_.run();
-  // The bound / required / slack vectors only exist once a consumer
-  // queried them; compare them only then (the forward state is always
-  // checked).
+  // The bound vector only exists once a consumer queried it (directly,
+  // through slacks() or through the K-paths); compare it only then (the
+  // forward state is always checked).
   const std::vector<double> cold_down =
       down_valid_ ? sta_.downstream_delays(cold) : std::vector<double>{};
-  const std::vector<std::array<double, 2>> cold_req =
-      slack_valid_ ? sta_.required_times(cold, slack_tc_ps_)
-                   : std::vector<std::array<double, 2>>{};
-  const std::vector<double> cold_slack =
-      slack_valid_ ? sta_.slacks(cold, slack_tc_ps_) : std::vector<double>{};
 
   auto fail = [&](const std::string& what, NodeId id) {
     throw std::logic_error(
@@ -438,11 +354,7 @@ void IncrementalSta::check_against_full() const {
       if (!(res_.prev[i][e] == cold.prev[i][e])) fail("prev", id);
       if (down_valid_ && !same_bits(down_[2 * i + e], cold_down[2 * i + e]))
         fail("downstream", id);
-      if (slack_valid_ && !same_bits(req_[i][e], cold_req[i][e]))
-        fail("required", id);
     }
-    if (slack_valid_ && !same_bits(slack_[i], cold_slack[i]))
-      fail("slack", static_cast<NodeId>(i));
     for (std::size_t k = 0; k < StaResult::kArcSlots; ++k)
       if (!same_bits(res_.arc_ps[i][k], cold.arc_ps[i][k]))
         fail("arc delay", static_cast<NodeId>(i));

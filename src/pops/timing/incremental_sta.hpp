@@ -11,8 +11,9 @@
 //     (whose load includes the resized input capacitance), and the fanout
 //     cone of whatever actually moved;
 //   * backward — the "downstream longest delay" bound values that the
-//     K-critical-paths enumeration prunes with, over the fan-in cone of
-//     the same neighbourhood.
+//     K-critical-paths enumeration prunes with and that fix every slack
+//     (required = tc - down), over the fan-in cone of the same
+//     neighbourhood.
 //
 // IncrementalSta keeps the last StaResult (arrivals, slews, `prev`
 // backtracking state, cached arc delays) plus the downstream bound vector
@@ -48,7 +49,6 @@
 // metric). The check is exhaustive under the contract, so callers no
 // longer say whether an edit was structural.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -93,8 +93,8 @@ class IncrementalSta {
 
   /// The downstream bound vector, == Sta::downstream_delays(result())
   /// (vertex = 2*node + StaResult::idx(edge)). Computed lazily on the
-  /// first query — consumers that never enumerate paths (the shield
-  /// pass, initial-delay measurements) skip the O(E) bound sweep — and
+  /// first query — consumers that neither enumerate paths nor query
+  /// slacks (initial-delay measurements) skip the O(E) bound sweep — and
   /// maintained incrementally by update() from then on.
   const std::vector<double>& downstream() const;
 
@@ -115,17 +115,11 @@ class IncrementalSta {
   const std::vector<TimedPath>& k_critical_paths(std::size_t k) const;
 
   /// Per-node slacks against `tc_ps`, == Sta::slacks(result(), tc_ps)
-  /// bitwise. The first query (or a query at a different tc) materializes
-  /// required times + slacks with one full backward sweep; afterwards
-  /// update() maintains both over dirty cones only, so per-candidate
-  /// queries in the shield pass cost O(dirty cone) instead of O(E).
+  /// bitwise: Sta::compute_slack mapped over the maintained arrivals and
+  /// downstream() bounds. O(N) at any tc with no delay-model call (the
+  /// first query also materializes the bounds). The returned vector is
+  /// overwritten by the next slacks() call.
   const std::vector<double>& slacks(double tc_ps) const;
-
-  /// The maintained required-time vector backing slacks(tc_ps), ==
-  /// Sta::required_times(result(), tc_ps) bitwise (same materialization
-  /// and maintenance as slacks()).
-  const std::vector<std::array<double, 2>>& required_times(
-      double tc_ps) const;
 
   /// The underlying (stateless) analyzer, for queries not wrapped above.
   const Sta& sta() const noexcept { return sta_; }
@@ -133,12 +127,12 @@ class IncrementalSta {
   // ----- verification ---------------------------------------------------------
 
   /// Compare the maintained state — arrivals, slews, `prev`, every cached
-  /// arc delay, and the bound / required / slack vectors once queried —
-  /// against a cold Sta::run() + backward sweeps, and check that the
-  /// positions are topological; throws std::logic_error on any bitwise
-  /// difference or out-of-order edge. update() calls this automatically
-  /// in debug builds (NDEBUG off); fuzz tests call it explicitly in
-  /// release builds.
+  /// arc delay, and the bound vector once queried (slacks are derived
+  /// from these) — against a cold Sta::run() + downstream_delays(), and
+  /// check that the positions are topological; throws std::logic_error
+  /// on any bitwise difference or out-of-order edge. update() calls this
+  /// automatically in debug builds (NDEBUG off); fuzz tests call it
+  /// explicitly in release builds.
   void check_against_full() const;
 
  private:
@@ -150,7 +144,6 @@ class IncrementalSta {
   bool place_positions(std::size_t old_n,
                        std::span<const netlist::NodeId> dirty);
   void grow_arrays(std::size_t n);
-  void materialize_slacks(double tc_ps) const;
 
   const netlist::Netlist* nl_;
   const DelayModel* dm_;
@@ -164,13 +157,8 @@ class IncrementalSta {
   mutable std::vector<double> down_;
   mutable bool down_valid_ = false;
 
-  // Required times + slacks, lazily materialized by the first
-  // slacks()/required_times() query and keyed on the tc bit pattern (a
-  // different tc re-materializes); maintained by update() while valid.
-  mutable std::vector<std::array<double, 2>> req_;
+  // Output buffer of slacks(), reused across queries.
   mutable std::vector<double> slack_;
-  mutable bool slack_valid_ = false;
-  mutable double slack_tc_ps_ = 0.0;
 
   // Last enumeration, replayed while no update()/run_full() intervenes
   // (see k_critical_paths).

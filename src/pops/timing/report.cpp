@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "pops/util/fmt.hpp"
@@ -49,16 +50,31 @@ std::string report_paths(const Netlist& nl, const Sta& sta,
 std::string report_endpoints(const Netlist& nl, const Sta& sta,
                              const StaResult& result,
                              const ReportOptions& opt) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const double tc = opt.tc_ps > 0.0 ? opt.tc_ps : result.critical_delay_ps;
-  const std::vector<double> slack = sta.slacks(result, tc);
+  const std::vector<double> down = sta.downstream_delays(result);
 
+  // Each row shows the slack-determining edge, as in Sta::slacks: its
+  // required time is tc - down, which is earlier than tc for a PO that
+  // also drives gates, so required - arrival = slack on every row.
   struct Endpoint {
     NodeId id;
+    double arrival;
+    double required;
     double slack;
   };
   std::vector<Endpoint> endpoints;
-  for (NodeId po : nl.outputs())
-    endpoints.push_back({po, slack[static_cast<std::size_t>(po)]});
+  for (NodeId po : nl.outputs()) {
+    Endpoint ep{po, -kInf, tc, kInf};
+    for (Edge e : {Edge::Rise, Edge::Fall}) {
+      const double at = result.arrival(po, e);
+      if (at == -kInf) continue;
+      const double required =
+          tc - down[2 * static_cast<std::size_t>(po) + StaResult::idx(e)];
+      if (required - at < ep.slack) ep = {po, at, required, required - at};
+    }
+    endpoints.push_back(ep);
+  }
   std::sort(endpoints.begin(), endpoints.end(),
             [](const Endpoint& a, const Endpoint& b) {
               return a.slack < b.slack;
@@ -68,10 +84,8 @@ std::string report_endpoints(const Netlist& nl, const Sta& sta,
                  "status"});
   for (std::size_t c = 1; c < 4; ++c) t.set_align(c, util::Align::Right);
   for (const Endpoint& ep : endpoints) {
-    const double at = std::max(result.arrival(ep.id, Edge::Rise),
-                               result.arrival(ep.id, Edge::Fall));
-    t.add_row({nl.node(ep.id).name, util::fmt(at, 1), util::fmt(tc, 1),
-               util::fmt(ep.slack, 1),
+    t.add_row({nl.node(ep.id).name, util::fmt(ep.arrival, 1),
+               util::fmt(ep.required, 1), util::fmt(ep.slack, 1),
                ep.slack < 0.0 ? "VIOLATED" : "met"});
   }
   std::ostringstream out;

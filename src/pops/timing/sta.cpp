@@ -352,86 +352,26 @@ std::vector<TimedPath> Sta::k_critical_paths(
   return out;
 }
 
-void Sta::compute_required(NodeId id, const StaResult& result, double tc_ps,
-                           std::vector<std::array<double, 2>>& required)
-    const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const Netlist& nl = *nl_;
-
-  // Init, then min-accumulate over the fanouts' finalized values — the
-  // exact operation order (fanouts, then eout, then causing ein, one
-  // chained std::min per term) of the historical monolithic backward
-  // sweep, so IncrementalSta can replay this kernel bit-identically.
-  auto& req = required[static_cast<std::size_t>(id)];
-  req = nl.node(id).is_output ? std::array<double, 2>{tc_ps, tc_ps}
-                              : std::array<double, 2>{kInf, kInf};
-  for (NodeId g : nl.fanouts(id)) {
-    const netlist::Node& gn = nl.node(g);
-    const liberty::Cell& cell = nl.lib().cell(gn.kind);
-    const std::size_t pin = pin_of(gn, id);
-    const auto& arcs = result.arc_ps[static_cast<std::size_t>(g)];
-    for (Edge eout : {Edge::Rise, Edge::Fall}) {
-      for (Edge ein : cause_edges(cell, eout)) {
-        const double w = arcs[arc_slot(cell, pin, eout, ein)];
-        double& cell_req = req[StaResult::idx(ein)];
-        cell_req = std::min(
-            cell_req,
-            required[static_cast<std::size_t>(g)][StaResult::idx(eout)] - w);
-      }
-    }
-  }
-}
-
-double Sta::compute_slack(
-    NodeId id, const StaResult& result,
-    const std::vector<std::array<double, 2>>& required) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+double Sta::compute_slack(NodeId id, const StaResult& result,
+                         const std::vector<double>& down,
+                         double tc_ps) noexcept {
   const auto i = static_cast<std::size_t>(id);
-  double slack = kInf;
+  double slack = std::numeric_limits<double>::infinity();
   for (Edge e : {Edge::Rise, Edge::Fall}) {
     const double at = result.arrival_ps[i][StaResult::idx(e)];
     if (at == kNegInf) continue;
-    slack = std::min(slack, required[i][StaResult::idx(e)] - at);
+    // required(id, e) = tc - down: +inf where no PO is reachable.
+    const double required = tc_ps - down[2 * i + StaResult::idx(e)];
+    slack = std::min(slack, required - at);
   }
   return slack;
 }
 
-std::vector<std::array<double, 2>> Sta::required_times(const StaResult& result,
-                                                       double tc_ps) const {
-  const Netlist& nl = *nl_;
-  std::vector<std::array<double, 2>> required(nl.size());
-  if (!level_parallel()) {
-    const auto& topo = nl.topo_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it)
-      compute_required(*it, result, tc_ps, required);
-  } else {
-    // Same descending-level fan-out as downstream_delays(): a node reads
-    // only its fanouts' required times, all strictly deeper.
-    const std::vector<std::vector<NodeId>> levels = depth_levels();
-    obs::Span span("sta/level_sweep");
-    span.arg("nodes", static_cast<double>(nl.size()));
-    span.arg("levels", static_cast<double>(levels.size()));
-    span.arg("workers", static_cast<double>(opt_.level_parallel_workers));
-    util::ThreadPool& pool = util::ThreadPool::global();
-    for (auto lit = levels.rbegin(); lit != levels.rend(); ++lit) {
-      const std::vector<NodeId>& level = *lit;
-      pool.for_chunks(level.size(), opt_.level_parallel_workers,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i)
-                          compute_required(level[i], result, tc_ps, required);
-                      });
-    }
-  }
-  return required;
-}
-
 std::vector<double> Sta::slacks(const StaResult& result, double tc_ps) const {
-  const std::size_t n = nl_->size();
-  const std::vector<std::array<double, 2>> required =
-      required_times(result, tc_ps);
-  std::vector<double> slack(n);
-  for (std::size_t i = 0; i < n; ++i)
-    slack[i] = compute_slack(static_cast<NodeId>(i), result, required);
+  const std::vector<double> down = downstream_delays(result);
+  std::vector<double> slack(nl_->size());
+  for (std::size_t i = 0; i < slack.size(); ++i)
+    slack[i] = compute_slack(static_cast<NodeId>(i), result, down, tc_ps);
   return slack;
 }
 

@@ -13,13 +13,18 @@
 // DelayModel is evaluated. It stores every gate arc it evaluates —
 // delay(cell, out, slew(fanin, ein), cin, cload) * Vt derate for each
 // (pin, output edge, causing input edge), reachable or not — in
-// StaResult::arc_ps. The backward sweeps (required times, downstream
-// bounds) and the K-paths edge weights read those arcs instead of
-// re-evaluating the model: the identical expression on identical
-// operands, so results are bit-identical to recomputing. Arcs are valid
-// only for the result that wrote them, i.e. for the netlist state that
-// result was computed on; a result kept current by IncrementalSta keeps
-// its arcs current too.
+// StaResult::arc_ps. The backward sweep (downstream bounds) and the
+// K-paths edge weights read those arcs instead of re-evaluating the
+// model: the identical expression on identical operands, so results are
+// bit-identical to recomputing. Arcs are valid only for the result that
+// wrote them, i.e. for the netlist state that result was computed on; a
+// result kept current by IncrementalSta keeps its arcs current too.
+//
+// One backward state: the downstream bound vector `down` (longest delay
+// from a vertex to any PO) fixes every required time exactly, since
+// required(n,e) = tc - down(n,e). Slacks are therefore an O(N) map over
+// `down` and the arrivals (compute_slack), at any tc, with no second
+// backward sweep and no delay-model call.
 
 #include <array>
 #include <cstddef>
@@ -141,15 +146,10 @@ class Sta {
                                           std::size_t k,
                                           const std::vector<double>& down) const;
 
-  /// Required time per node per edge against a required arrival `tc_ps`
-  /// at every PO: the backward min-propagation of slacks(), exposed so
-  /// consumers (and IncrementalSta's maintained vectors) share one
-  /// bit-exact definition. +inf where no PO constrains the vertex.
-  std::vector<std::array<double, 2>> required_times(const StaResult& result,
-                                                    double tc_ps) const;
-
   /// Per-node slack against a required time `tc_ps` at every PO, for the
-  /// worse edge: slack(n) = min over edges of (required - arrival).
+  /// worse edge: slack(n) = min over reachable edges e of
+  /// ((tc_ps - down[2n+e]) - arrival(n,e)), with down =
+  /// downstream_delays(result). +inf where no PO constrains the node.
   std::vector<double> slacks(const StaResult& result, double tc_ps) const;
 
   /// Input edges of `cell` that can cause output edge `out`.
@@ -174,19 +174,11 @@ class Sta {
   double compute_down(netlist::NodeId id, Edge e, const StaResult& result,
                       const std::vector<double>& down) const;
 
-  /// Recompute required[id] (both edges) from the fanouts' finalized
-  /// `required` values and cached arcs — the per-node kernel of
-  /// required_times(). Same operation order as the historical monolithic
-  /// sweep, so replaying it on an unchanged neighbourhood is bit-identical.
-  void compute_required(netlist::NodeId id, const StaResult& result,
-                        double tc_ps,
-                        std::vector<std::array<double, 2>>& required) const;
-
-  /// slack(id) from finalized arrivals and required times — the per-node
-  /// kernel of slacks().
-  double compute_slack(netlist::NodeId id, const StaResult& result,
-                       const std::vector<std::array<double, 2>>& required)
-      const;
+  /// slack(id) from its arrivals and downstream bounds — the one slack
+  /// definition, shared by slacks() and IncrementalSta::slacks().
+  static double compute_slack(netlist::NodeId id, const StaResult& result,
+                              const std::vector<double>& down,
+                              double tc_ps) noexcept;
 
   /// Scan POs for the critical delay/endpoint; throws when no PO is
   /// reachable (same contract as run()).

@@ -254,7 +254,7 @@ TEST(ConcurrencyTest, ConcurrentOptimizerConstructionOnSharedContext) {
 // level across ThreadPool workers; per-node writes are disjoint, so under
 // TSan this doubles as a data-race check on the sweep kernels. The
 // determinism contract is bitwise: for ANY worker count, every arrival /
-// slew / prev / downstream / required value equals the sequential result,
+// slew / prev / downstream value equals the sequential result,
 // across a randomly mutated netlist sequence.
 TEST(ConcurrencyTest, LevelParallelSweepsDeterministicUnderMutation) {
   api::OptContext ctx;
@@ -281,8 +281,6 @@ TEST(ConcurrencyTest, LevelParallelSweepsDeterministicUnderMutation) {
     const timing::Sta seq(nl, ctx.dm());
     const timing::StaResult want = seq.run();
     const std::vector<double> want_down = seq.downstream_delays(want);
-    const auto want_req =
-        seq.required_times(want, want.critical_delay_ps);
 
     for (const std::size_t workers : {1u, 2u, 4u}) {
       timing::StaOptions opt;
@@ -309,12 +307,6 @@ TEST(ConcurrencyTest, LevelParallelSweepsDeterministicUnderMutation) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(got_down[v]),
                   std::bit_cast<std::uint64_t>(want_down[v]))
             << "step " << step << " workers " << workers << " vertex " << v;
-
-      const auto got_req = par.required_times(got, want.critical_delay_ps);
-      for (std::size_t i = 0; i < want_req.size(); ++i)
-        for (std::size_t e = 0; e < 2; ++e)
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got_req[i][e]),
-                    std::bit_cast<std::uint64_t>(want_req[i][e]));
     }
   }
 }
