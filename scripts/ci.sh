@@ -61,6 +61,10 @@ ctest --test-dir "${PREFIX}-asan" -N | grep "ShieldMatchesHistoricalFullSweepBit
   || { echo "ASan job does not cover the shield parity regression"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "SlackIsTcMinusDownstreamMinusArrivalBitwise" > /dev/null \
   || { echo "ASan job does not cover the slack-definition test"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "CriticalEndpointMatchesColdThroughTies" > /dev/null \
+  || { echo "ASan job does not cover the maintained critical-endpoint test"; exit 1; }
+ctest --test-dir "${PREFIX}-asan" -N | grep "OutputListStaysExactUnderPoEdits" > /dev/null \
+  || { echo "ASan job does not cover the maintained PO-list test"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" -N | grep "EngineSharing\." > /dev/null \
   || { echo "ASan job does not cover the engine-sharing obs tests"; exit 1; }
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}"

@@ -262,6 +262,9 @@ void MultiVtPass::run(Netlist& nl, OptContext& ctx, const OptimizerConfig& cfg,
               return a.id < b.id;
             });
   if (candidates.empty()) return;
+  // The walk below reads only critical_delay_ps: stop maintaining the
+  // bounds the slacks above needed (the next bound query rebuilds them).
+  sta.release_downstream();
 
   // The recovered-leakage metric is inherently state-dependent (the flat
   // proxy is Vt-blind), so it is always accounted with the state backend;

@@ -21,6 +21,7 @@ Netlist Netlist::from_nodes(const liberty::Library& lib, std::string name,
       throw std::invalid_argument("Netlist::from_nodes: duplicate node name " +
                                   n.name);
     if (n.is_input) nl.inputs_.push_back(id);
+    if (n.is_output) nl.outputs_.push_back(id);
   }
   nl.fresh_counter_ = fresh_counter;
   // The one from-scratch fanout build; every edit after this maintains
@@ -45,6 +46,7 @@ NodeId Netlist::add_node(Node node) {
   fanouts_.emplace_back();
   for (NodeId f : node.fanins)
     fanouts_[static_cast<std::size_t>(f)].push_back(id);
+  if (node.is_output) outputs_.push_back(id);
   nodes_.push_back(std::move(node));
   topo_valid_ = false;
   return id;
@@ -80,6 +82,9 @@ NodeId Netlist::add_gate(liberty::CellKind kind, const std::string& name,
 
 void Netlist::mark_output(NodeId id, double load_ff) {
   Node& n = nodes_.at(static_cast<std::size_t>(id));
+  if (!n.is_output)
+    outputs_.insert(std::upper_bound(outputs_.begin(), outputs_.end(), id),
+                    id);
   n.is_output = true;
   n.po_load_ff = load_ff;
 }
@@ -91,13 +96,6 @@ const Node& Netlist::node(NodeId id) const {
 NodeId Netlist::find(const std::string& name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? kNoNode : it->second;
-}
-
-std::vector<NodeId> Netlist::outputs() const {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id)
-    if (nodes_[static_cast<std::size_t>(id)].is_output) out.push_back(id);
-  return out;
 }
 
 std::vector<NodeId> Netlist::gates() const {
@@ -210,6 +208,9 @@ NodeId Netlist::insert_buffer(NodeId driver, liberty::CellKind kind,
     d.is_output = false;
     d.po_load_ff = 0.0;
     d.wire_cap_ff = 0.0;
+    // The buffer's id is the largest, so appending keeps the list ascending.
+    outputs_.erase(std::find(outputs_.begin(), outputs_.end(), driver));
+    outputs_.push_back(buf);
   }
   return buf;
 }

@@ -101,10 +101,14 @@ class Netlist {
   /// Node id by name; kNoNode if absent.
   NodeId find(const std::string& name) const;
 
-  /// Ids of all primary inputs / primary outputs / gates.
+  /// Ids of all primary inputs / gates.
   const std::vector<NodeId>& inputs() const noexcept { return inputs_; }
-  std::vector<NodeId> outputs() const;
   std::vector<NodeId> gates() const;
+
+  /// Ids of all primary outputs, ascending. Maintained by every edit that
+  /// sets or moves a PO flag (mark_output, insert_buffer's PO capture),
+  /// so timing's per-update endpoint scan reads it without a node scan.
+  const std::vector<NodeId>& outputs() const noexcept { return outputs_; }
 
   /// Gates fed by node `id`: ascending ids, a sink listed once per pin it
   /// takes from `id`. Maintained exactly across edits (never rebuilt).
@@ -205,6 +209,7 @@ class Netlist {
   std::string name_;
   std::vector<Node> nodes_;
   std::vector<NodeId> inputs_;
+  std::vector<NodeId> outputs_;  ///< ascending; see outputs()
   std::unordered_map<std::string, NodeId> by_name_;
   int fresh_counter_ = 0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace pops::timing {
 
@@ -42,20 +43,32 @@ double DelayModel::slope_sensitivity(Edge next_out_edge) const {
          (2.0 * h);
 }
 
-double DelayModel::vt_derate(int vt_class, Edge out_edge) const {
-  // Class 0 is the base device the backend was calibrated/characterized
-  // for: return exactly 1.0 so default-class timing stays bit-identical.
-  if (vt_class == 0) return 1.0;
-  const process::Technology& t = lib().tech();
-  const process::VtClass cls =
-      t.vt_class(static_cast<std::size_t>(vt_class));
+DelayModel::DelayModel(const liberty::Library& lib) : lib_(&lib) {
   // Alpha-power law: the switching transistor array's drive current goes
   // as (VDD - Vt)^alpha, so delay and output transition scale by the
-  // inverse ratio against the base threshold of the same network.
-  const double vt_base = out_edge == Edge::Fall ? t.vtn : t.vtp;
-  const double vt_cls = out_edge == Edge::Fall ? cls.vtn : cls.vtp;
-  const double alpha = out_edge == Edge::Fall ? t.alpha_n : t.alpha_p;
-  return std::pow((t.vdd - vt_base) / (t.vdd - vt_cls), alpha);
+  // inverse ratio against the base threshold of the same network. Class 0
+  // is the base device the backend was calibrated/characterized for: it
+  // stays exactly 1.0 so default-class timing is bit-identical.
+  const process::Technology& t = lib.tech();
+  vt_derates_.assign(t.n_vt_classes(), {1.0, 1.0});
+  for (std::size_t c = 1; c < vt_derates_.size(); ++c) {
+    const process::VtClass cls = t.vt_class(c);
+    for (Edge e : {Edge::Rise, Edge::Fall}) {
+      const double vt_base = e == Edge::Fall ? t.vtn : t.vtp;
+      const double vt_cls = e == Edge::Fall ? cls.vtn : cls.vtp;
+      const double alpha = e == Edge::Fall ? t.alpha_n : t.alpha_p;
+      vt_derates_[c][e == Edge::Rise ? 0 : 1] =
+          std::pow((t.vdd - vt_base) / (t.vdd - vt_cls), alpha);
+    }
+  }
+}
+
+double DelayModel::vt_derate(int vt_class, Edge out_edge) const {
+  const auto c = static_cast<std::size_t>(vt_class);  // negative -> huge
+  if (c >= vt_derates_.size())
+    throw std::out_of_range("Technology " + lib().tech().name +
+                            ": no vt class " + std::to_string(vt_class));
+  return vt_derates_[c][out_edge == Edge::Rise ? 0 : 1];
 }
 
 double DelayModel::stage_coefficient(const liberty::Cell& cell, Edge out_edge,

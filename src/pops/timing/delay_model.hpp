@@ -35,9 +35,11 @@
 // falling back to the numeric estimates the base class provides when the
 // backend is not closed-form.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "pops/liberty/library.hpp"
 
@@ -70,7 +72,8 @@ struct StageTiming {
 /// rejects backends built over a foreign library).
 class DelayModel {
  public:
-  explicit DelayModel(const liberty::Library& lib) : lib_(&lib) {}
+  /// Tabulates vt_derate for every Vt class of the library's technology.
+  explicit DelayModel(const liberty::Library& lib);
   virtual ~DelayModel() = default;
 
   const liberty::Library& lib() const noexcept { return *lib_; }
@@ -128,7 +131,9 @@ class DelayModel {
   /// class 0, so single-Vt netlists are timed bit-identically. Sta applies
   /// it uniformly on every backend's transition/delay numbers — a table
   /// backend characterized at base Vt is derated the same way the closed
-  /// form is. Throws std::out_of_range for a class the technology lacks.
+  /// form is. Tabulated per (class, edge) at construction, so the timing
+  /// kernels pay a lookup, not a pow. Throws std::out_of_range for a class
+  /// the technology lacks.
   double vt_derate(int vt_class, Edge out_edge) const;
 
   /// Default input transition (ps) assumed at a path input: the output
@@ -163,6 +168,8 @@ class DelayModel {
 
  private:
   const liberty::Library* lib_;
+  /// vt_derate per class, indexed [class][Rise = 0, Fall = 1].
+  std::vector<std::array<double, 2>> vt_derates_;
 };
 
 /// Evaluator for eq. (1-3) over a Library. Stateless and cheap to copy.

@@ -197,6 +197,10 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
       obs::Registry::global().counter("sta.updates");
   static const obs::Registry::Counter renumbers =
       obs::Registry::global().counter("sta.position_renumbers");
+  static const obs::Registry::Counter forward_nodes =
+      obs::Registry::global().counter("sta.forward_nodes");
+  static const obs::Registry::Counter backward_nodes =
+      obs::Registry::global().counter("sta.backward_nodes");
   static const obs::Registry::Histogram cone = obs::Registry::global()
       .histogram("sta.dirty_cone",
                  {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
@@ -253,7 +257,14 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
   };
   for (NodeId id : seeds) push_fwd(id);
 
+  // POs whose endpoint standing may have moved: arrival bits changed, or
+  // listed dirty (a new PO flag, a buffer that captured a PO).
+  std::vector<NodeId> po_moved;
+  for (NodeId d : dirty)
+    if (nl_->node(d).is_output) po_moved.push_back(d);
+
   std::vector<NodeId> slew_changed;
+  std::size_t n_forward = 0;
   while (!fwd.empty()) {
     const NodeId id = fwd.top().second;
     fwd.pop();
@@ -263,6 +274,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
     const std::array<double, 2> old_arrival = res_.arrival_ps[i];
     const std::array<double, 2> old_slew = res_.slew_ps[i];
     sta_.compute_node(id, res_);
+    ++n_forward;
 
     const bool slew_diff = !same_bits(res_.slew_ps[i][0], old_slew[0]) ||
                            !same_bits(res_.slew_ps[i][1], old_slew[1]);
@@ -270,10 +282,12 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
         !same_bits(res_.arrival_ps[i][0], old_arrival[0]) ||
         !same_bits(res_.arrival_ps[i][1], old_arrival[1]);
     if (slew_diff) slew_changed.push_back(id);
+    if (arrival_diff && nl_->node(id).is_output) po_moved.push_back(id);
     if (slew_diff || arrival_diff)
       for (NodeId g : nl_->fanouts(id)) push_fwd(g);
   }
-  sta_.finalize_critical(res_);
+  forward_nodes.add(static_cast<double>(n_forward));
+  update_critical(po_moved);
 
   // ----- backward pass: downstream bounds -----------------------------------
   // down[f] reads, per fanout g of f: cin(g), cload(g) (changed ⊆ F, so
@@ -295,12 +309,14 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
     }
     for (NodeId id : slew_changed) push_bwd(id);
 
+    std::size_t n_backward = 0;
     while (!bwd.empty()) {
       const NodeId id = bwd.top().second;
       bwd.pop();
       const auto i = static_cast<std::size_t>(id);
       in_heap_[i] = 0;
 
+      ++n_backward;
       bool changed = false;
       for (Edge e : {Edge::Rise, Edge::Fall}) {
         const std::size_t v = 2 * i + StaResult::idx(e);
@@ -313,6 +329,7 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
       if (changed)
         for (NodeId f : nl_->node(id).fanins) push_bwd(f);
     }
+    backward_nodes.add(static_cast<double>(n_backward));
   }
 
   for (NodeId id : seeds) seed_mark_[static_cast<std::size_t>(id)] = 0;
@@ -322,6 +339,39 @@ const StaResult& IncrementalSta::update(std::span<const NodeId> dirty) {
 #endif
   return res_;
 }
+
+void IncrementalSta::update_critical(std::span<const NodeId> po_moved) {
+  // Fold the moved POs into the previous endpoint under the cold scan's
+  // order (Sta::finalize_critical: POs ascending, Rise before Fall, a
+  // strictly later arrival wins — so the earliest (node, edge) wins a
+  // tie). Every PO outside `po_moved` kept its arrival bits and lost to
+  // the previous endpoint, so it still loses as long as that endpoint is
+  // a PO whose arrival did not go down; otherwise rescan.
+  PathPoint best = res_.critical_endpoint;
+  if (best.node == netlist::kNoNode || !nl_->node(best.node).is_output ||
+      !(res_.arrival(best.node, best.edge) >= res_.critical_delay_ps)) {
+    sta_.finalize_critical(res_);  // throws when no PO is reachable
+    return;
+  }
+  double best_at = res_.arrival(best.node, best.edge);
+  for (NodeId po : po_moved) {
+    if (!nl_->node(po).is_output) continue;  // e.g. a driver that lost it
+    for (Edge e : {Edge::Rise, Edge::Fall}) {
+      const double at = res_.arrival(po, e);
+      const bool earlier =
+          po < best.node ||
+          (po == best.node && e == Edge::Rise && best.edge == Edge::Fall);
+      if (at > best_at || (at == best_at && earlier)) {
+        best_at = at;
+        best = {po, e};
+      }
+    }
+  }
+  res_.critical_delay_ps = best_at;
+  res_.critical_endpoint = best;
+}
+
+void IncrementalSta::release_downstream() noexcept { down_valid_ = false; }
 
 void IncrementalSta::check_against_full() const {
   if (!valid_)

@@ -48,6 +48,20 @@
 // order or no gap is left (counted by the `sta.position_renumbers`
 // metric). The check is exhaustive under the contract, so callers no
 // longer say whether an edit was structural.
+//
+// Critical endpoint: update() folds into the previous endpoint only the
+// POs whose arrival bits changed plus the dirty POs, under the cold
+// scan's order (a higher arrival wins; on a tie the smaller (node, edge),
+// Rise before Fall). Every other PO kept its arrival and already lost to
+// that endpoint, so the fold is exact while the old endpoint is still a
+// PO whose arrival did not go down; otherwise update() rescans all POs
+// like Sta::run (and throws the same way when none is reachable).
+//
+// The downstream bounds are only maintained once queried. A caller whose
+// later decisions read nothing but the forward state (the multi-Vt walk
+// reads critical_delay_ps per flip) calls release_downstream() to stop
+// paying the backward pass; the next bound, slack or K-paths query
+// rebuilds the bounds cold.
 
 #include <cstddef>
 #include <cstdint>
@@ -95,8 +109,14 @@ class IncrementalSta {
   /// (vertex = 2*node + StaResult::idx(edge)). Computed lazily on the
   /// first query — consumers that neither enumerate paths nor query
   /// slacks (initial-delay measurements) skip the O(E) bound sweep — and
-  /// maintained incrementally by update() from then on.
+  /// maintained incrementally by update() from then on (until
+  /// release_downstream()).
   const std::vector<double>& downstream() const;
+
+  /// Stop maintaining the downstream bounds: update() skips its backward
+  /// pass until the next downstream()/slacks()/k_critical_paths() query
+  /// rebuilds them cold (bit-identical to maintaining them).
+  void release_downstream() noexcept;
 
   // ----- queries over the maintained state ------------------------------------
 
@@ -144,6 +164,10 @@ class IncrementalSta {
   bool place_positions(std::size_t old_n,
                        std::span<const netlist::NodeId> dirty);
   void grow_arrays(std::size_t n);
+  /// Re-derive the critical delay/endpoint after a forward pass from the
+  /// previous endpoint and the POs that may have moved (see the class
+  /// comment); falls back to Sta::finalize_critical.
+  void update_critical(std::span<const netlist::NodeId> po_moved);
 
   const netlist::Netlist* nl_;
   const DelayModel* dm_;

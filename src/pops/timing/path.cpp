@@ -25,10 +25,10 @@ BoundedPath::BoundedPath(const liberty::Library& lib,
     throw std::invalid_argument("BoundedPath: boundary capacitances must be > 0");
   if (!(input_slew_ps > 0.0))
     throw std::invalid_argument("BoundedPath: input slew must be > 0");
+  refresh_stages();
   cin_.assign(stages_.size(), 0.0);
   cin_[0] = cin_first_ff_;
   for (std::size_t i = 1; i < stages_.size(); ++i) cin_[i] = cin_min(i);
-  recompute_edges();
 }
 
 BoundedPath BoundedPath::extract(const Netlist& nl, const TimedPath& path,
@@ -78,21 +78,23 @@ BoundedPath BoundedPath::extract(const Netlist& nl, const TimedPath& path,
 }
 
 const liberty::Cell& BoundedPath::cell(std::size_t i) const {
-  return lib_->cell(stages_.at(i).kind);
+  return *cache_.at(i).cell;
 }
 
 void BoundedPath::set_input_edge(Edge e) {
   input_edge_ = e;
-  recompute_edges();
+  refresh_stages();
 }
 
-void BoundedPath::recompute_edges() {
-  edges_.resize(stages_.size());
+void BoundedPath::refresh_stages() {
+  const process::Technology& tech = lib_->tech();
+  cache_.resize(stages_.size());
   Edge e = input_edge_;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const liberty::Cell& c = lib_->cell(stages_[i].kind);
     if (c.inverting) e = flip(e);
-    edges_[i] = e;
+    cache_[i] = {&c, e, c.cin_ff(tech, lib_->wmin_um()),
+                 c.cin_ff(tech, lib_->wmax_um())};
   }
 }
 
@@ -116,14 +118,6 @@ void BoundedPath::set_all_min_drive() {
     if (sizable(i)) cin_[i] = cin_min(i);
 }
 
-double BoundedPath::cin_min(std::size_t i) const {
-  return cell(i).cin_ff(lib_->tech(), lib_->wmin_um());
-}
-
-double BoundedPath::cin_max(std::size_t i) const {
-  return cell(i).cin_ff(lib_->tech(), lib_->wmax_um());
-}
-
 double BoundedPath::load_ff(std::size_t i) const {
   const double next =
       i + 1 < stages_.size() ? cin_[i + 1] : terminal_ff_;
@@ -140,7 +134,7 @@ double BoundedPath::delay_ps(const DelayModel& dm) const {
   double tin = input_slew_ps_;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const StageTiming st =
-        dm.stage(cell(i), edges_[i], tin, cin_[i], total_load_ff(i));
+        dm.stage(cell(i), cache_[i].edge, tin, cin_[i], total_load_ff(i));
     total += st.delay_ps;
     tin = st.tout_ps;
   }
@@ -152,7 +146,7 @@ std::vector<double> BoundedPath::stage_delays_ps(const DelayModel& dm) const {
   double tin = input_slew_ps_;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const StageTiming st =
-        dm.stage(cell(i), edges_[i], tin, cin_[i], total_load_ff(i));
+        dm.stage(cell(i), cache_[i].edge, tin, cin_[i], total_load_ff(i));
     delays[i] = st.delay_ps;
     tin = st.tout_ps;
   }
@@ -177,8 +171,9 @@ double BoundedPath::normalized_size() const {
 double BoundedPath::stage_coefficient(const DelayModel& dm,
                                       std::size_t i) const {
   const bool has_next = i + 1 < stages_.size();
-  const Edge next_edge = has_next ? edges_[i + 1] : edges_[i];
-  return dm.stage_coefficient(cell(i), edges_[i], cin_[i], total_load_ff(i),
+  const Edge edge = out_edge(i);
+  const Edge next_edge = has_next ? cache_[i + 1].edge : edge;
+  return dm.stage_coefficient(cell(i), edge, cin_[i], total_load_ff(i),
                               has_next, next_edge);
 }
 
@@ -207,14 +202,14 @@ void BoundedPath::insert_stage_after(std::size_t i, liberty::CellKind kind,
   }
   stages_.insert(stages_.begin() + static_cast<long>(i) + 1, st);
   cin_.insert(cin_.begin() + static_cast<long>(i) + 1, cin_ff);
+  refresh_stages();        // the clamp reads the new stage's CIN range
   set_cin(i + 1, cin_ff);  // clamp into range
-  recompute_edges();
 }
 
 void BoundedPath::replace_stage(std::size_t i, liberty::CellKind kind) {
   stages_.at(i).kind = kind;
+  refresh_stages();                // the clamp reads the new cell's range
   if (i > 0) set_cin(i, cin_[i]);  // re-clamp for the new cell
-  recompute_edges();
 }
 
 std::vector<netlist::NodeId> BoundedPath::apply_sizes_to(Netlist& nl) const {

@@ -62,7 +62,7 @@ class BoundedPath {
 
   /// Output edge of stage `i` for the path's input edge (phase propagated
   /// through the inverting cells; XOR counts as non-inverting).
-  Edge out_edge(std::size_t i) const { return edges_.at(i); }
+  Edge out_edge(std::size_t i) const { return cache_.at(i).edge; }
   Edge input_edge() const noexcept { return input_edge_; }
   /// Re-derive stage edges after structural edits or input-edge change.
   void set_input_edge(Edge e);
@@ -90,8 +90,8 @@ class BoundedPath {
   void set_all_min_drive();
 
   /// Smallest / largest realisable CIN (fF) of stage `i`'s cell.
-  double cin_min(std::size_t i) const;
-  double cin_max(std::size_t i) const;
+  double cin_min(std::size_t i) const { return cache_.at(i).cin_min; }
+  double cin_max(std::size_t i) const { return cache_.at(i).cin_max; }
 
   // ----- evaluation -----------------------------------------------------------
 
@@ -176,12 +176,24 @@ class BoundedPath {
   std::vector<netlist::NodeId> apply_sizes_to(netlist::Netlist& nl) const;
 
  private:
-  void recompute_edges();
+  /// Per-stage data derived from the stage kinds and the input edge. The
+  /// sizing sweeps read the cell and the CIN range of every stage on
+  /// every update, so they are resolved once per structural edit.
+  struct StageCache {
+    const liberty::Cell* cell;
+    Edge edge;       ///< output edge (see out_edge)
+    double cin_min;  ///< CIN at the library's minimum drive
+    double cin_max;  ///< CIN at the library's maximum drive
+  };
+
+  /// Rebuild cache_ from stages_ and input_edge_; runs after every edit of
+  /// either, before anything clamps a CIN.
+  void refresh_stages();
 
   const liberty::Library* lib_;
   std::vector<PathStage> stages_;
   std::vector<double> cin_;
-  std::vector<Edge> edges_;
+  std::vector<StageCache> cache_;
   double cin_first_ff_;
   double terminal_ff_;
   Edge input_edge_;

@@ -373,6 +373,85 @@ TEST(IncrementalSta, SlacksAtVaryingTcBitIdentical) {
   }
 }
 
+// ----- the maintained critical endpoint --------------------------------------
+
+TEST(IncrementalSta, CriticalEndpointMatchesColdThroughTies) {
+  // Two mirror-image cones whose PO arrivals tie bitwise: the cold scan
+  // breaks the tie toward the smaller node id, so every edit that raises,
+  // lowers or restores one cone moves the endpoint across the tie — the
+  // cases update() folds (a moved PO beats a steady endpoint) and the
+  // cases it must rescan (the endpoint itself got faster).
+  const liberty::Library lib = test_lib();
+  const Backends backends(lib);
+  for (const BackendCase& bc : backends.cases()) {
+    SCOPED_TRACE(bc.label);
+    Netlist nl(lib);
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    const NodeId a1 = nl.add_gate(liberty::CellKind::Inv, "a1", {a});
+    const NodeId b1 = nl.add_gate(liberty::CellKind::Inv, "b1", {b});
+    const NodeId a2 = nl.add_gate(liberty::CellKind::Inv, "a2", {a1});
+    const NodeId b2 = nl.add_gate(liberty::CellKind::Inv, "b2", {b1});
+    // A longer side chain off `a` whose end is not (yet) a PO.
+    NodeId late = a;
+    for (int i = 0; i < 4; ++i)
+      late = nl.add_gate(liberty::CellKind::Inv, "y" + std::to_string(i),
+                         {late});
+    const double mid = 2.0 * lib.wmin_um();
+    for (NodeId g : nl.gates()) nl.set_drive(g, mid);
+    const double po_load = 20.0 * lib.cref_ff();
+    nl.mark_output(a2, po_load);
+    nl.mark_output(b2, po_load);
+
+    IncrementalSta inc(nl, bc.dm);
+    const StaResult& r = inc.run_full();
+    for (Edge e : {Edge::Rise, Edge::Fall})
+      ASSERT_TRUE(same_bits(r.arrival(a2, e), r.arrival(b2, e)));
+    ASSERT_EQ(r.critical_endpoint.node, a2);
+
+    auto edit = [&](NodeId g, const char* what, NodeId expect_node) {
+      const NodeId dirty[] = {g};
+      inc.update(dirty);
+      const StaResult cold = Sta(nl, bc.dm).run();
+      EXPECT_TRUE(same_bits(r.critical_delay_ps, cold.critical_delay_ps))
+          << what;
+      EXPECT_EQ(r.critical_endpoint, cold.critical_endpoint) << what;
+      EXPECT_EQ(r.critical_endpoint.node, expect_node) << what;
+      EXPECT_NO_THROW(inc.check_against_full()) << what;
+    };
+    const int hvt = lib.tech().find_vt_class("hvt");
+    ASSERT_GT(hvt, 0);
+
+    // Vt flips on the tied endpoints.
+    nl.set_vt_class(b2, hvt);
+    edit(b2, "raise the losing cone (vt)", b2);
+    nl.set_vt_class(b2, 0);
+    edit(b2, "restore it: the endpoint got faster", a2);
+    nl.set_vt_class(a2, hvt);
+    edit(a2, "raise the winning cone (vt)", a2);
+    nl.set_vt_class(a2, 0);
+    edit(a2, "restore the winner", a2);
+
+    // Resizes: a weaker last stage on its PO load is slower, a stronger
+    // one faster.
+    nl.set_drive(b2, lib.wmin_um());
+    edit(b2, "raise the losing cone (size)", b2);
+    nl.set_drive(b2, 4.0 * mid);
+    edit(b2, "lower the losing cone", a2);
+    nl.set_drive(b2, mid);
+    edit(b2, "restore the losing cone", a2);
+    nl.set_drive(a2, 4.0 * mid);
+    edit(a2, "lower the winning cone", b2);
+    nl.set_drive(a2, mid);
+    edit(a2, "restore the winning cone", a2);
+
+    // A late node that becomes a PO between updates is the new endpoint.
+    nl.mark_output(late, po_load);
+    edit(late, "mark a late node as PO", late);
+    if (HasFatalFailure()) return;
+  }
+}
+
 // ----- fuzz: every structural edit of the pipeline ---------------------------
 
 double counter(const char* name) {

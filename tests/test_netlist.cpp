@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "pops/core/netopt.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/netlist.hpp"
@@ -152,6 +153,62 @@ TEST_F(NetlistTest, InsertBufferOnSubsetOfSinks) {
   const auto& fo = nl.fanouts(g);
   EXPECT_NE(std::find(fo.begin(), fo.end(), s1), fo.end());
   EXPECT_NO_THROW(nl.validate());
+}
+
+/// The PO list a from-scratch build gives: every is_output node, ascending.
+std::vector<NodeId> scanned_outputs(const Netlist& nl) {
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id)
+    if (nl.node(id).is_output) out.push_back(id);
+  return out;
+}
+
+TEST_F(NetlistTest, OutputListStaysExactUnderPoEdits) {
+  Netlist nl(lib);
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId g1 = nl.add_gate(CellKind::Nand2, "g1", {a, b});
+  const NodeId g2 = nl.add_gate(CellKind::Inv, "g2", {g1});
+  const NodeId g3 = nl.add_gate(CellKind::Inv, "g3", {g1});
+  EXPECT_TRUE(nl.outputs().empty());
+
+  nl.mark_output(g3, 4.0);  // first PO: a new node
+  EXPECT_EQ(nl.outputs(), scanned_outputs(nl));
+  nl.mark_output(g1, 3.0);  // an existing node below the current list
+  EXPECT_EQ(nl.outputs(), (std::vector<NodeId>{g1, g3}));
+  EXPECT_EQ(nl.outputs(), scanned_outputs(nl));
+  nl.mark_output(g3, 6.0);  // already a PO: only the load moves
+  EXPECT_EQ(nl.outputs(), (std::vector<NodeId>{g1, g3}));
+  EXPECT_DOUBLE_EQ(nl.node(g3).po_load_ff, 6.0);
+
+  // An appended PO lands at the end.
+  const NodeId g4 = nl.add_gate(CellKind::Inv, "g4", {g2});
+  nl.mark_output(g4, 2.0);
+  EXPECT_EQ(nl.outputs(), (std::vector<NodeId>{g1, g3, g4}));
+  EXPECT_EQ(nl.outputs(), scanned_outputs(nl));
+
+  // A capture-all buffer takes the PO role over from its driver; a
+  // subset buffer leaves the list alone.
+  const NodeId buf = nl.insert_buffer(g1, CellKind::Buf, "buf_g1");
+  EXPECT_EQ(nl.outputs(), (std::vector<NodeId>{g3, g4, buf}));
+  EXPECT_EQ(nl.outputs(), scanned_outputs(nl));
+  nl.insert_buffer(buf, CellKind::Buf, "sub", {g3});
+  EXPECT_EQ(nl.outputs(), scanned_outputs(nl));
+  EXPECT_NO_THROW(nl.validate());
+
+  // Rebuilds: raw records, a copy, and the dead-gate sweep.
+  std::vector<Node> nodes;
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id)
+    nodes.push_back(nl.node(id));
+  const Netlist rebuilt =
+      Netlist::from_nodes(lib, nl.name(), nodes, nl.fresh_counter());
+  EXPECT_EQ(rebuilt.outputs(), nl.outputs());
+  EXPECT_EQ(rebuilt.outputs(), scanned_outputs(rebuilt));
+  const Netlist copy(nl);
+  EXPECT_EQ(copy.outputs(), scanned_outputs(copy));
+  const Netlist swept = pops::core::sweep_dead(nl);
+  EXPECT_EQ(swept.outputs().size(), nl.outputs().size());
+  EXPECT_EQ(swept.outputs(), scanned_outputs(swept));
 }
 
 TEST_F(NetlistTest, InsertBufferRejectsNonBufferKinds) {

@@ -169,6 +169,42 @@ TEST_F(PathTest, ReplaceStageReclampsAndReedges) {
   EXPECT_NE(p.out_edge(2), last_before);
 }
 
+TEST_F(PathTest, StructuralEditsRefreshTheCinRange) {
+  // The CIN range is cached per stage: after an insert or a replace it
+  // must be the new cell's, and set_cin must clamp into it.
+  auto expect_range = [&](const BoundedPath& p, std::size_t i, CellKind k) {
+    const pops::liberty::Cell& c = lib.cell(k);
+    EXPECT_EQ(&p.cell(i), &c);
+    EXPECT_EQ(p.cin_min(i), c.cin_ff(lib.tech(), lib.wmin_um()));
+    EXPECT_EQ(p.cin_max(i), c.cin_ff(lib.tech(), lib.wmax_um()));
+  };
+  auto expect_clamps = [](BoundedPath& p, std::size_t i) {
+    p.set_cin(i, 0.0);
+    EXPECT_EQ(p.cin(i), p.cin_min(i));
+    p.set_cin(i, 1e9);
+    EXPECT_EQ(p.cin(i), p.cin_max(i));
+  };
+
+  BoundedPath p = make_path({CellKind::Inv, CellKind::Inv, CellKind::Inv});
+  // A huge requested CIN must land on the new cell's maximum, above any
+  // Inv size.
+  ASSERT_GT(lib.cell(CellKind::Nor4).cin_ff(lib.tech(), lib.wmax_um()),
+            p.cin_max(2));
+  p.insert_stage_after(1, CellKind::Nor4, 1e9);
+  expect_range(p, 2, CellKind::Nor4);
+  EXPECT_EQ(p.cin(2), p.cin_max(2));
+  expect_range(p, 3, CellKind::Inv);
+  expect_clamps(p, 2);
+
+  p.set_cin(1, 1e9);  // the Inv maximum, above any Nand4 size
+  ASSERT_GT(p.cin(1),
+            lib.cell(CellKind::Nand4).cin_ff(lib.tech(), lib.wmax_um()));
+  p.replace_stage(1, CellKind::Nand4);
+  expect_range(p, 1, CellKind::Nand4);
+  EXPECT_EQ(p.cin(1), p.cin_max(1));
+  expect_clamps(p, 1);
+}
+
 TEST_F(PathTest, SizableFlagFreezesStage) {
   BoundedPath p = make_path({CellKind::Inv, CellKind::Inv, CellKind::Inv});
   EXPECT_FALSE(p.sizable(0));  // stage 0 always fixed

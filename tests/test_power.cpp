@@ -3,17 +3,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pops/api/api.hpp"
 #include "pops/core/power.hpp"
+#include "pops/core/protocol.hpp"
 #include "pops/liberty/library.hpp"
 #include "pops/netlist/benchmarks.hpp"
 #include "pops/netlist/logic_sim.hpp"
+#include "pops/obs/metrics.hpp"
 #include "pops/power/power_model.hpp"
 #include "pops/process/technology.hpp"
 #include "pops/service/sweep.hpp"
+#include "pops/timing/incremental_sta.hpp"
+#include "pops/timing/sta.hpp"
 #include "pops/util/rng.hpp"
 
 namespace {
@@ -246,6 +254,87 @@ TEST(MultiVtPass, SweepMeetsTcAndRecoversLeakage) {
     EXPECT_LT(mvt.report.power.leakage_uw, base.report.power.leakage_uw)
         << "Tc ratio " << mvt.tc_ratio;
   }
+}
+
+/// The multi-Vt walk as it ran while the bounds were maintained through
+/// every flip: same candidate order, same accept test, bounds queried up
+/// front so update() keeps them.
+std::size_t reference_walk(Netlist& nl, const timing::DelayModel& dm,
+                           int target, double tc_ps) {
+  timing::IncrementalSta sta(nl, dm);
+  sta.run_full();
+  const std::vector<double> slack = sta.slacks(tc_ps);
+  std::vector<std::pair<double, NodeId>> order;
+  for (NodeId g : nl.gates())
+    if (slack[static_cast<std::size_t>(g)] > 0.0)
+      order.push_back({-slack[static_cast<std::size_t>(g)], g});
+  std::sort(order.begin(), order.end());
+  std::size_t moved = 0;
+  for (const auto& [neg_slack, g] : order) {
+    nl.set_vt_class(g, target);
+    const NodeId dirty[] = {g};
+    if (core::tc_met(sta.update(dirty).critical_delay_ps, tc_ps)) {
+      ++moved;
+    } else {
+      nl.set_vt_class(g, 0);
+      sta.update(dirty);
+    }
+  }
+  return moved;
+}
+
+double counter_value(const char* name) {
+  const util::Json snap = obs::Registry::global().snapshot_json();
+  const util::Json* v = snap.find("counters")->find(name);
+  return v ? v->as_number() : 0.0;
+}
+
+TEST(MultiVtPass, ReleasedBoundsWalkMatchesMaintainedWalk) {
+  api::OptContext ctx;
+  const timing::DelayModel& dm = ctx.dm();
+  api::OptimizerConfig cfg;
+  const int hvt = ctx.tech().find_vt_class("hvt");
+  ASSERT_GT(hvt, 0);
+
+  Netlist nl = netlist::make_benchmark(ctx.lib(), "c880");
+  const double tc = 1.1 * timing::Sta(nl, dm).run().critical_delay_ps;
+  Netlist ref = nl;
+  const double backward_ref = counter_value("sta.backward_nodes");
+  const std::size_t ref_moved = reference_walk(ref, dm, hvt, tc);
+  EXPECT_GT(counter_value("sta.backward_nodes"), backward_ref)
+      << "the reference walk did not maintain its bounds";
+  ASSERT_GT(ref_moved, 0u);
+
+  timing::IncrementalSta sta(nl, dm);
+  sta.run_full();
+  api::PassReport report;
+  const double backward_before = counter_value("sta.backward_nodes");
+  api::MultiVtPass().run(nl, ctx, cfg, tc, report, sta);
+  EXPECT_EQ(counter_value("sta.backward_nodes"), backward_before)
+      << "the walk still ran backward passes";
+
+  EXPECT_EQ(report.cells_high_vt, ref_moved);
+  for (NodeId id = 0; id < static_cast<NodeId>(nl.size()); ++id)
+    ASSERT_EQ(nl.node(id).vt, ref.node(id).vt) << nl.node(id).name;
+
+  // The released bounds come back cold, bitwise equal to a fresh run.
+  const timing::Sta cold_sta(nl, dm);
+  const timing::StaResult cold = cold_sta.run();
+  const std::vector<double> cold_down = cold_sta.downstream_delays(cold);
+  const std::vector<double> cold_slack = cold_sta.slacks(cold, tc);
+  const std::vector<double>& down = sta.downstream();
+  ASSERT_EQ(down.size(), cold_down.size());
+  for (std::size_t v = 0; v < down.size(); ++v)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(down[v]),
+              std::bit_cast<std::uint64_t>(cold_down[v]))
+        << "vertex " << v;
+  const std::vector<double>& slack = sta.slacks(tc);
+  ASSERT_EQ(slack.size(), cold_slack.size());
+  for (std::size_t i = 0; i < slack.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(slack[i]),
+              std::bit_cast<std::uint64_t>(cold_slack[i]))
+        << "node " << i;
+  EXPECT_NO_THROW(sta.check_against_full());
 }
 
 }  // namespace

@@ -389,6 +389,41 @@ TEST_F(StaTest, ArcCacheMatchesDirectDelayModelEvaluation) {
   }
 }
 
+TEST_F(StaTest, VtDerateTableIsTheAlphaPowerLawAndRejectsUnknownClasses) {
+  const Technology& t = lib.tech();
+  ASSERT_GT(t.n_vt_classes(), 1u);
+  for (Edge e : {Edge::Rise, Edge::Fall}) {
+    EXPECT_EQ(dm.vt_derate(0, e), 1.0);
+    for (std::size_t c = 1; c < t.n_vt_classes(); ++c) {
+      const bool fall = e == Edge::Fall;
+      const double want =
+          std::pow((t.vdd - (fall ? t.vtn : t.vtp)) /
+                       (t.vdd - (fall ? t.vt_class(c).vtn : t.vt_class(c).vtp)),
+                   fall ? t.alpha_n : t.alpha_p);
+      EXPECT_TRUE(same_bits(dm.vt_derate(static_cast<int>(c), e), want))
+          << "class " << c;
+    }
+    EXPECT_THROW(dm.vt_derate(static_cast<int>(t.n_vt_classes()), e),
+                 std::out_of_range);
+    EXPECT_THROW(dm.vt_derate(-1, e), std::out_of_range);
+  }
+
+  // A node on a class the timing model's technology lacks: the forward
+  // kernel throws, cold and incremental.
+  Technology single = Technology::cmos025();
+  single.vt_classes.clear();
+  const Library single_lib(single);
+  const ClosedFormModel single_dm(single_lib);
+  Netlist nl = make_benchmark(lib, "c17");
+  IncrementalSta inc(nl, single_dm);
+  inc.run_full();
+  const NodeId g = nl.gates().front();
+  nl.set_vt_class(g, 1);
+  EXPECT_THROW(Sta(nl, single_dm).run(), std::out_of_range);
+  const NodeId dirty[] = {g};
+  EXPECT_THROW(inc.update(dirty), std::out_of_range);
+}
+
 TEST_F(StaTest, ThrowsWithoutReachablePo) {
   Netlist nl(lib);
   nl.add_input("a");
